@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	rotateSeed := fs.Int64("rotate-seed", 1, "seed stream for selector rotations")
 	keepVersions := fs.Int("keep-versions", 64, "on-disk versions kept per model when rotating (0 keeps everything)")
 	shardSpec := fs.String("shard", "", `host shard k of a K-shard fleet ("k/K"): only that shard's body subset`)
-	precisionName := fs.String("precision", "", `compute precision for the hosted body passes: "f64" (reference kernels) or "f32" (vectorized backend, ~1e-7 relative drift); empty defaults to the manifest's commitment, else f64`)
+	precisionName := fs.String("precision", "", `compute precision for the hosted body passes: "f64" (reference kernels) or "f32" (float32 kernels, ~1e-7 relative drift); empty defaults to the manifest's commitment, else f64`)
 	adminAddr := fs.String("admin-addr", "", "admin plane listen address (/healthz, /metrics, /leakage, /rotate, /traces); empty disables")
 	traceSample := fs.Float64("trace-sample", trace.DefaultSampleRate, "probability a healthy request's full span timeline is retained (errors, sheds, and the slowest are always kept); negative disables tail sampling")
 	traceSlowest := fs.Int("trace-slowest", 0, "always retain this many slowest requests seen (0 = default)")

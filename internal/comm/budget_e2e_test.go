@@ -175,10 +175,9 @@ func TestBudgetEscalationLadderE2E(t *testing.T) {
 	}
 }
 
-// TestBudgetAccountIdentities pins how the ledger keys tenants across the
-// three ways a peer can arrive: a v4 client with a declared ID gets its own
-// account; an ID-less v4 client and a legacy gob client from the same host
-// share one address-bucket account.
+// TestBudgetAccountIdentities pins how the ledger keys tenants: a client
+// with a declared ID gets its own account; two ID-less clients from the same
+// host share one address-bucket account, so anonymity never buys budget.
 func TestBudgetAccountIdentities(t *testing.T) {
 	const nBodies = 2
 	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetEps: 100})
@@ -205,8 +204,8 @@ func TestBudgetAccountIdentities(t *testing.T) {
 		}
 	}
 	infer(comm.WithClientID("did:ex:alice"))
-	infer()                            // v4, no declared ID
-	infer(comm.WithWire(comm.WireGob)) // legacy gob, no handshake at all
+	infer()                                  // no declared ID
+	infer(comm.WithWire(comm.WireBinaryF32)) // a second anonymous peer, on another connection
 
 	snap := ledger.Snapshot()
 	if len(snap) != 2 {

@@ -2,12 +2,13 @@ package comm
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,154 +27,26 @@ import (
 // internal/privacy; the end-to-end escalation run lives in
 // budget_e2e_test.go.
 
-// refuseThenServeGob runs a hand-rolled legacy-gob server that refuses each
-// connection's first `refuseFirst` requests with the budget-exhausted
-// verdict, then serves a fixed feature response — the deterministic harness
-// proving the gob codec carries CodeBudgetExhausted natively.
-func refuseThenServeGob(t *testing.T, refuseFirst int, attempts *atomic.Uint64) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	feature := wireTensor(430, 1, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				refused := 0
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					attempts.Add(1)
-					var resp Response
-					if refused < refuseFirst {
-						refused++
-						resp = Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
-					} else {
-						resp = Response{Features: []*tensor.Tensor{feature}}
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// refuseOnceBinary runs a hand-rolled binary-wire server that refuses each
-// connection's first request with the budget code and serves afterwards —
-// the binary twin of refuseThenServeGob.
+// refuseOnceBinary runs a stub server that refuses each connection's first
+// request with the budget code and serves afterwards, counting attempts.
 func refuseOnceBinary(t *testing.T, attempts *atomic.Uint64) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
 	feature := wireTensor(431, 1, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				var hello [8]byte
-				if _, err := io.ReadFull(br, hello[:]); err != nil {
-					return
-				}
-				ack := helloAckBytes(2, 0, 0)
-				if _, err := conn.Write(ack[:]); err != nil {
-					return
-				}
-				refused := false
-				var decBuf []byte
-				for {
-					var body []byte
-					var err error
-					decBuf, body, err = readFrame(br, decBuf)
-					if err != nil {
-						return
-					}
-					var req Request
-					if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err != nil {
-						return
-					}
-					attempts.Add(1)
-					resp := &Response{Features: []*tensor.Tensor{feature}}
-					if !refused {
-						refused = true
-						resp = &Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
-					}
-					buf, err := appendResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
-					if err != nil {
-						return
-					}
-					if err := writeFrame(conn, buf); err != nil {
-						return
-					}
-				}
-			}()
+	return stubServer(t, 0, func(i int) *Response {
+		attempts.Add(1)
+		if i == 0 {
+			return &Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
 		}
-	}()
-	return ln.Addr().String()
+		return &Response{Features: []*tensor.Tensor{feature}}
+	})
 }
 
-// TestPoolBudgetExhaustedTerminalGob pins retry terminality on the legacy
-// gob wire: a budget refusal must surface immediately as ErrBudgetExhausted
-// after exactly one attempt, even under a generous retry policy — unlike an
-// overload shed, a drained budget does not recover on the retry timescale,
-// and hammering the server only burns the refusal counters. The contrast
-// case (ErrOverloaded retried transparently) is TestPoolRetriesOverloadedServer.
-func TestPoolBudgetExhaustedTerminalGob(t *testing.T) {
-	var attempts atomic.Uint64
-	addr := refuseThenServeGob(t, 1, &attempts)
-
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, WithWire(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	pool.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: 0.5}
-
-	x := wireTensor(432, 1, 4, 8, 8)
-	_, _, err = pool.Exchange(context.Background(), x)
-	// The server would have served a second attempt — the retry budget of 4
-	// must still not spend it.
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("budget refusal surfaced as %v, want ErrBudgetExhausted", err)
-	}
-	if errors.Is(err, ErrOverloaded) {
-		t.Fatal("budget refusal also matches ErrOverloaded — retry loops would treat it as transient")
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("budget-refused exchange hit the server %d times, want exactly 1", got)
-	}
-
-	// The refusal is benign for the connection: the same pooled stream serves
-	// the next request.
-	if _, _, err := pool.Exchange(context.Background(), x); err != nil {
-		t.Fatalf("connection unusable after a budget refusal: %v", err)
-	}
-}
-
-// TestPoolBudgetExhaustedTerminalBinary pins the same terminality contract
-// on the binary wire, where the refusal travels as the Code field of a v2+
-// response frame.
+// TestPoolBudgetExhaustedTerminalBinary pins retry terminality: a budget
+// refusal, which travels as the response frame's code field, must surface
+// immediately as ErrBudgetExhausted after exactly one attempt, even under a
+// generous retry policy — unlike an overload shed, a drained budget does not
+// recover on the retry timescale, and hammering the server only burns the
+// refusal counters. The contrast case (ErrOverloaded retried transparently)
+// is TestPoolRetriesOverloadedServer.
 func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	var attempts atomic.Uint64
 	addr := refuseOnceBinary(t, &attempts)
@@ -190,6 +63,9 @@ func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("binary budget refusal surfaced as %v, want ErrBudgetExhausted", err)
 	}
+	if errors.Is(err, ErrOverloaded) {
+		t.Fatal("budget refusal also matches ErrOverloaded — retry loops would treat it as transient")
+	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("budget-refused exchange hit the server %d times, want exactly 1", got)
 	}
@@ -198,32 +74,26 @@ func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	}
 }
 
-// TestWireHelloBytesPinned pins the handshake bytes across versions: the v4
-// client-ID extension must not move a single byte of the v3 hello, so a v3
-// capture replayed today still negotiates identically, and a v4 hello
-// without an ID differs from v3 in exactly the version byte. These literals
-// are the wire contract — if this test needs editing, the protocol broke.
+// TestWireHelloBytesPinned pins the handshake bytes: magic, version, the
+// f32 flag, and the client ID length-prefixed inline. These literals are the
+// wire contract — if this test needs editing, the protocol broke.
 func TestWireHelloBytesPinned(t *testing.T) {
-	if got, want := helloBytes(3, 0), [8]byte{0xE5, 'N', 'S', 'B', 3, 0, 0, 0}; got != want {
-		t.Errorf("v3 hello bytes = %v, want %v", got, want)
+	if got, want := string(appendHello(nil, false, "")), "\xE5NSB\x05\x00\x00"; got != want {
+		t.Errorf("anonymous hello = %q, want %q", got, want)
 	}
-	if got, want := helloBytes(wireVersion, 0), [8]byte{0xE5, 'N', 'S', 'B', 4, 0, 0, 0}; got != want {
-		t.Errorf("v4 ID-less hello bytes = %v, want %v", got, want)
+	if got, want := string(appendHello(nil, true, "ab")), "\xE5NSB\x05\x01\x02ab"; got != want {
+		t.Errorf("f32 hello with client ID = %q, want %q", got, want)
 	}
-	if got, want := helloBytes(wireVersion, wireFlagF32|wireFlagClientID), [8]byte{0xE5, 'N', 'S', 'B', 4, 0x03, 0, 0}; got != want {
-		t.Errorf("v4 flagged hello bytes = %v, want %v", got, want)
-	}
-	// The client-ID frame encoding is equally pinned: message type 0x05,
-	// one-byte length, raw ID bytes.
-	if got, want := string(appendClientID(nil, "ab")), "\x05\x02ab"; got != want {
-		t.Errorf("client-ID frame body = %q, want %q", got, want)
+	if got, want := helloAck(25), [7]byte{0xE5, 'N', 'S', 'B', 5, 25, 0}; got != want {
+		t.Errorf("ack = %v, want %v", got, want)
 	}
 }
 
-// TestNegotiateClientIDHandshake pins the server half of the v4 extension
-// at the negotiate boundary: a v4 hello with the flag yields the declared
-// identity; a v3 hello forging the flag is served at v3 with the flag
-// cleared and no extra read; a hostile ID frame drops the connection.
+// TestNegotiateClientIDHandshake pins the server half of the hello at the
+// negotiate boundary: a declared identity comes back from negotiate, an
+// anonymous hello yields "", a hello naming another wire version is refused
+// with both versions named (after an ack that names the server's), and a
+// hostile ID drops the connection.
 func TestNegotiateClientIDHandshake(t *testing.T) {
 	srv := NewServer(codecBodies(1))
 
@@ -231,7 +101,7 @@ func TestNegotiateClientIDHandshake(t *testing.T) {
 		id  string
 		err error
 	}
-	run := func(t *testing.T, drive func(c net.Conn, ack []byte)) result {
+	run := func(t *testing.T, hello []byte) (result, []byte) {
 		t.Helper()
 		server, client := net.Pipe()
 		defer server.Close()
@@ -240,63 +110,85 @@ func TestNegotiateClientIDHandshake(t *testing.T) {
 		go func() {
 			_, id, err := srv.negotiate(server, bufio.NewReaderSize(server, 1<<16))
 			done <- result{id, err}
+			server.Close()
 		}()
-		var ack [8]byte
-		drive(client, ack[:])
+		go client.Write(hello)
+		ack, _ := io.ReadAll(client)
 		select {
 		case r := <-done:
-			return r
+			return r, ack
 		case <-time.After(5 * time.Second):
 			t.Fatal("negotiate did not return — it is reading bytes the peer never promised")
-			return result{}
+			return result{}, nil
+		}
+	}
+	acked := func(t *testing.T, ack []byte) {
+		t.Helper()
+		if want := helloAck(0); !bytes.Equal(ack, want[:]) {
+			t.Errorf("ack = %x, want %x", ack, want)
 		}
 	}
 
-	t.Run("v4 declared identity", func(t *testing.T) {
-		r := run(t, func(c net.Conn, ack []byte) {
-			hello := helloBytes(wireVersion, wireFlagClientID)
-			c.Write(hello[:])
-			io.ReadFull(c, ack)
-			if ack[4] != wireVersion || ack[5]&wireFlagClientID == 0 {
-				t.Errorf("ack ver %d flags %#x: v4 ID offer not accepted", ack[4], ack[5])
-			}
-			writeFrame(c, appendClientID([]byte{0, 0, 0, 0}, "did:ex:alice"))
-		})
+	t.Run("declared identity", func(t *testing.T) {
+		r, ack := run(t, appendHello(nil, false, "did:ex:alice"))
 		if r.err != nil || r.id != "did:ex:alice" {
 			t.Fatalf("negotiate = (%q, %v), want the declared identity", r.id, r.err)
 		}
+		acked(t, ack)
 	})
 
-	t.Run("v3 flag forgery ignored", func(t *testing.T) {
-		// A v3 client cannot speak the extension; a forged flag must not make
-		// the server wait for a frame v3 will never send (net.Pipe would
-		// deadlock the test if it did).
-		r := run(t, func(c net.Conn, ack []byte) {
-			hello := helloBytes(3, wireFlagClientID)
-			c.Write(hello[:])
-			io.ReadFull(c, ack)
-			if ack[4] != 3 || ack[5]&wireFlagClientID != 0 {
-				t.Errorf("ack ver %d flags %#x: forged v3 flag echoed", ack[4], ack[5])
-			}
-		})
+	t.Run("anonymous", func(t *testing.T) {
+		r, ack := run(t, appendHello(nil, true, ""))
 		if r.err != nil || r.id != "" {
-			t.Fatalf("negotiate = (%q, %v), want anonymous v3 success", r.id, r.err)
+			t.Fatalf("negotiate = (%q, %v), want anonymous success", r.id, r.err)
 		}
+		acked(t, ack)
 	})
 
-	t.Run("hostile ID frame drops connection", func(t *testing.T) {
-		r := run(t, func(c net.Conn, ack []byte) {
-			hello := helloBytes(wireVersion, wireFlagClientID)
-			c.Write(hello[:])
-			io.ReadFull(c, ack)
-			// Frame length far beyond the 66-byte ceiling: the server must
-			// reject it from the header alone.
-			c.Write([]byte{0xFF, 0xFF, 0, 0})
-		})
+	t.Run("wrong version refused", func(t *testing.T) {
+		// An old v4 hello: the server must not try to read its flagged
+		// client-ID frame, and must name both versions.
+		r, ack := run(t, []byte{0xE5, 'N', 'S', 'B', 4, 0x02, 0, 0})
 		if r.err == nil {
-			t.Fatalf("negotiate accepted a hostile ID frame as %q", r.id)
+			t.Fatal("negotiate accepted a version-4 hello")
+		}
+		for _, v := range []string{"version 4", "version 5"} {
+			if !strings.Contains(r.err.Error(), v) {
+				t.Errorf("refusal %q does not name %s", r.err, v)
+			}
+		}
+		acked(t, ack)
+	})
+
+	t.Run("hostile ID drops connection", func(t *testing.T) {
+		hello := appendHello(nil, false, "x")
+		hello[6] = 0xFF // an ID length far beyond the 64-byte ceiling
+		r, ack := run(t, hello)
+		if r.err == nil {
+			t.Fatalf("negotiate accepted a hostile ID as %q", r.id)
+		}
+		if len(ack) != 0 {
+			t.Errorf("server acked a hostile hello: %x", ack)
 		}
 	})
+}
+
+// TestClientRefusesWrongVersionAck pins the client half of the exact-match
+// hello: an ack naming another version fails the dial with both versions
+// in the error.
+func TestClientRefusesWrongVersionAck(t *testing.T) {
+	ack := helloAck(0)
+	ack[4] = 6
+	var sink bytes.Buffer
+	_, err := negotiateClient(&sink, bufio.NewReader(bytes.NewReader(ack[:])), false, "")
+	if !errors.Is(err, errWireVersion) {
+		t.Fatalf("negotiateClient = %v, want a wire version mismatch", err)
+	}
+	for _, v := range []string{"version 6", "version 5"} {
+		if !strings.Contains(err.Error(), v) {
+			t.Errorf("refusal %q does not name %s", err, v)
+		}
+	}
 }
 
 // TestAddrBucket pins the legacy-identity derivation: one account per peer
@@ -420,7 +312,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 		replicas := newReplicaCache(PrecisionF64)
 		encBuf := make([]byte, 0, 1<<16)
 		cycle := func() {
-			if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+			if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 				t.Fatal(err)
 			}
 			j.account = acct
@@ -432,7 +324,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 				t.Fatal("drained account served without an escalation-noise verdict")
 			}
 			var e error
-			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, nil, false, 0)
 			if e != nil {
 				t.Fatal(e)
 			}
@@ -489,7 +381,7 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<20)
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			b.Fatal(err)
 		}
 		j.account = acct
@@ -501,7 +393,7 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			b.Fatal(err)
 		}
 		j.account = acct
@@ -510,7 +402,7 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, nil, false, 0)
 		if e != nil {
 			b.Fatal(e)
 		}
@@ -537,7 +429,7 @@ func TestPrecisionAndWireStrings(t *testing.T) {
 		t.Error("Precision.String round-trip broken")
 	}
 	for f, want := range map[WireFormat]string{
-		WireBinary: "binary", WireBinaryF32: "binary+f32", WireGob: "gob", WireFormat(99): "WireFormat(99)",
+		WireBinary: "binary", WireBinaryF32: "binary+f32", WireFormat(99): "WireFormat(99)",
 	} {
 		if f.String() != want {
 			t.Errorf("WireFormat(%d).String() = %q, want %q", int(f), f.String(), want)

@@ -1,67 +1,50 @@
 package comm
 
-// The binary wire codec: a length-prefixed, version-negotiated frame format
-// replacing gob on the feature hot path. Gob spends the bulk of a request's
-// wire time re-describing types and boxing float64s one reflect call at a
-// time; the binary codec writes one header and the raw payload, reuses its
-// encode/decode buffers across requests, and optionally ships float32 on
-// the wire (half the bytes, ~1e-7 relative feature error — see README).
+// The wire codec: one length-prefixed binary protocol for every connection.
+// Each request writes one header and the raw payload, the encode/decode
+// buffers are reused across requests, and a client may ship float32 on the
+// wire (half the bytes, ~1e-7 relative feature error — see README).
 //
 // Framing (all integers little-endian):
 //
-//	hello     = magic[4] version(u8) flags(u8) reserved(u16)   client→server
-//	hello-ack = magic[4] version(u8) flags(u8) windowMs(u16)   server→client
+//	hello     = magic[4] version(u8) flags(u8) idLen(u8) id[idLen]   client→server
+//	hello-ack = magic[4] version(u8) windowMs(u16)                   server→client
 //	frame     = length(u32) body
 //	request   = 0x01 modelLen(u16) model version(u32) kind(u8) count(u16) tensor*
-//	          | 0x03 traceID(u64) tflags(u8) modelLen(u16) model ...   (v3+)
-//	response  = 0x02 modelLen(u16) model version(u32) errLen(u16) err
-//	            [v2+: code(u16)] kind(u8)
+//	          | 0x03 traceID(u64) tflags(u8) modelLen(u16) model ...
+//	response  = 0x02 modelLen(u16) model version(u32) errLen(u16) err code(u16) kind(u8)
 //	            features: count(u16) tensor*
 //	            outputs:  outer(u16) inner(u16) tensor*(outer×inner, row-major)
-//	          | 0x04 traceID(u64) modelLen(u16) model ...              (v3+)
+//	          | 0x04 traceID(u64) modelLen(u16) model ...
 //	tensor    = rank(u8) dtype(u8) dims(u32)*rank payload(f64|f32 ×n)
 //
-// Version negotiation: the client's hello names the highest version it
-// speaks; the server acks the version the connection will use —
-// min(client, server), so a v2 client interoperates with a v1 server and
-// vice versa — and echoes the subset of requested flags it accepts.
-// Version 2 adds the response code field (the 429-style ErrOverloaded
-// admission-control verdict) and puts the server's continuous-batching
-// window, in milliseconds, in the ack's formerly-reserved u16 — advice a
-// client's overload backoff can key off (0 = no batching window; v1 acks
-// carry 0 there by construction). Version 3 adds the traced frame types
-// 0x03/0x04: identical to 0x01/0x02 except that a trace context (u64 trace
-// ID; on requests also a flags byte whose bit0 forces tail-sampling
-// retention downstream) rides between the message byte and the model name,
-// which is how one logical request's legs stitch into a single trace across
-// connections and shards (see internal/trace). Traced frames are
-// self-describing: a v3 client only sends 0x03 when it has a trace context,
-// a v3 server only echoes 0x04 on a request that arrived as 0x03, and a
-// connection negotiated below v3 never sees either type — legacy-gob and
-// v1/v2 binary clients are byte-for-byte unaffected. Version 4 adds the
-// client-identity extension for the per-client privacy-budget ledger: a
-// client with an identity sets the 0x02 hello flag, and only when the ack
-// names version ≥ 4 AND echoes the flag does it send one client-ID frame
-// (0x05 idLen(u8) idBytes, 1–64 printable-ASCII bytes) before any request.
-// The handshake-gating keeps v4 clients byte-compatible with v3 servers
-// (the flag is ignored, the ID frame never sent), and a server clears the
-// flag when the client's hello names a version below 4, so a hostile v3
-// client cannot elicit an ID read. Peers that never send an ID — and all
-// legacy gob clients — are bucketed by remote address instead. A server
-// that receives bytes that are not the hello magic treats the connection as
-// a legacy gob client — the magic's first byte (0xE5) is not a byte a gob
-// stream can start with, so sniffing is unambiguous.
+// The hello names exactly one protocol version; a server refuses any other,
+// acking with its own version so the client can report both before the
+// connection drops. flags bit0 asks for float32 payloads in both directions.
+// idLen > 0 declares the client's identity (1–64 printable-ASCII bytes) for
+// the per-client privacy-budget ledger; peers that declare none are bucketed
+// by remote address. The ack's windowMs is the server's continuous-batching
+// window, advice a client's overload backoff keys off (0 = no window).
+//
+// The code field classifies a response error (ErrOverloaded, the budget
+// refusal). Traced frames 0x03/0x04 carry a trace context (u64 trace ID; on
+// requests also a flags byte whose bit0 forces tail-sampling retention
+// downstream) between the message byte and the model name, which is how one
+// logical request's legs stitch into a single trace across connections and
+// shards (see internal/trace). A client sends 0x03 only when it has a trace
+// context, and the server echoes 0x04 only on a request that arrived as 0x03,
+// so untraced requests use the shorter 0x01/0x02 frames.
 //
 // Trust boundary: decoders validate every length against the remaining
 // frame before allocating, so a hostile frame claiming 2^30 elements over a
-// short body is rejected, not allocated. FuzzWireRequestFrame and
-// FuzzWireStream run random bytes through both parsers.
+// short body is rejected, not allocated. The fuzz targets in fuzz_test.go run
+// random bytes through every parser.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -71,21 +54,17 @@ import (
 	"ensembler/internal/trace"
 )
 
-// WireFormat selects a client's wire protocol.
+// WireFormat selects the payload precision a client puts on the wire.
 type WireFormat int
 
 const (
-	// WireBinary is the length-prefixed binary codec with float64 payloads
-	// — bit-identical to gob's values at a fraction of the encode cost. The
-	// default for Dial.
+	// WireBinary ships float64 payloads, bit-transparent. The default for
+	// Dial.
 	WireBinary WireFormat = iota
 	// WireBinaryF32 ships float32 payloads: half the bytes, ~1e-7 relative
 	// rounding on transmitted features (see README for the accuracy
 	// trade-off).
 	WireBinaryF32
-	// WireGob is the legacy gob protocol, for servers predating the binary
-	// codec.
-	WireGob
 )
 
 func (f WireFormat) String() string {
@@ -94,32 +73,21 @@ func (f WireFormat) String() string {
 		return "binary"
 	case WireBinaryF32:
 		return "binary+f32"
-	case WireGob:
-		return "gob"
 	default:
 		return fmt.Sprintf("WireFormat(%d)", int(f))
 	}
 }
 
 const (
-	wireVersion = 4
+	wireVersion = 5
 	wireFlagF32 = 0x01
-	// wireFlagClientID in a v4+ hello announces that the client has an
-	// identity to declare; echoed in the ack when the server will read the
-	// client-ID frame (it never echoes it to a sub-v4 hello).
-	wireFlagClientID = 0x02
 
 	wireMsgRequest  = 0x01
 	wireMsgResponse = 0x02
-	// Traced variants (v3+): the body carries a trace context between the
-	// message byte and the model name. Self-describing, so untraced requests
-	// on a v3 connection still use the cheaper 0x01/0x02 layouts.
+	// Traced variants: the body carries a trace context between the message
+	// byte and the model name.
 	wireMsgRequestTraced  = 0x03
 	wireMsgResponseTraced = 0x04
-	// wireMsgClientID (v4+) declares the connection's client identity for
-	// privacy-budget accounting. Sent at most once, immediately after an ack
-	// that accepted wireFlagClientID, before any request frame.
-	wireMsgClientID = 0x05
 
 	// wireTraceSampled in a traced request's flags byte forces tail-sampling
 	// retention of this leg (the root leg won the coin, or was an error).
@@ -142,21 +110,80 @@ const (
 	maxWireClientID = 64
 )
 
-// wireMagic opens the hello and hello-ack. 0xE5 sits in the dead zone of
-// gob's unsigned-integer prefix encoding (a gob stream starts with a byte
-// < 0x80 or >= 0xF8), which is what makes server-side sniffing exact.
+// wireMagic opens the hello and hello-ack.
 var wireMagic = [4]byte{0xE5, 'N', 'S', 'B'}
 
-// helloBytes builds the 8-byte hello/ack for a version and flag set.
-func helloBytes(version, flags byte) [8]byte {
-	return [8]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], version, flags, 0, 0}
+// errWireVersion marks a hello or ack naming a protocol version other than
+// wireVersion.
+var errWireVersion = errors.New("comm: wire version mismatch")
+
+// --- handshake ---
+
+// ValidClientID reports whether id may be declared on the wire: 1 to 64
+// bytes of printable ASCII (no spaces or control bytes), so a hostile
+// identity cannot smuggle log-injection or NUL tricks into the ledger, the
+// admin JSON, or rotation causes.
+func ValidClientID(id string) bool {
+	if len(id) == 0 || len(id) > maxWireClientID {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7E {
+			return false
+		}
+	}
+	return true
 }
 
-// helloAckBytes builds the server's 8-byte ack, carrying the batching
-// window advice (milliseconds, saturated at u16) in the trailing u16.
-func helloAckBytes(version, flags byte, windowMs uint16) [8]byte {
-	ack := helloBytes(version, flags)
-	binary.LittleEndian.PutUint16(ack[6:8], windowMs)
+// appendHello encodes the client hello. clientID must be "" or satisfy
+// ValidClientID.
+func appendHello(buf []byte, f32 bool, clientID string) []byte {
+	var flags byte
+	if f32 {
+		flags |= wireFlagF32
+	}
+	buf = append(buf, wireMagic[:]...)
+	buf = append(buf, wireVersion, flags, byte(len(clientID)))
+	return append(buf, clientID...)
+}
+
+// readHello reads and validates a client hello: the server's first trust
+// boundary. A wrong version returns an error wrapping errWireVersion before
+// any byte past the fixed header is read.
+func readHello(r io.Reader) (f32 bool, clientID string, err error) {
+	var h [7]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		return false, "", err
+	}
+	if [4]byte(h[:4]) != wireMagic {
+		return false, "", fmt.Errorf("comm: peer is not speaking the wire protocol (bad hello magic)")
+	}
+	if h[4] != wireVersion {
+		return false, "", fmt.Errorf("%w: client speaks version %d, server speaks version %d", errWireVersion, h[4], wireVersion)
+	}
+	if h[5]&^wireFlagF32 != 0 {
+		return false, "", fmt.Errorf("comm: hello carries unknown flags %#x", h[5]&^wireFlagF32)
+	}
+	if n := int(h[6]); n > 0 {
+		if n > maxWireClientID {
+			return false, "", fmt.Errorf("comm: client ID of %d bytes exceeds %d", n, maxWireClientID)
+		}
+		var id [maxWireClientID]byte
+		if _, err := io.ReadFull(r, id[:n]); err != nil {
+			return false, "", fmt.Errorf("comm: reading client ID: %w", err)
+		}
+		if clientID = string(id[:n]); !ValidClientID(clientID) {
+			return false, "", fmt.Errorf("comm: client ID carries non-printable bytes")
+		}
+	}
+	return h[5]&wireFlagF32 != 0, clientID, nil
+}
+
+// helloAck builds the server's ack, naming wireVersion and carrying the
+// batching window advice (milliseconds, saturated at u16).
+func helloAck(windowMs uint16) [7]byte {
+	ack := [7]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], wireVersion}
+	binary.LittleEndian.PutUint16(ack[5:], windowMs)
 	return ack
 }
 
@@ -174,56 +201,57 @@ func windowAdviceMs(window time.Duration) uint16 {
 	return uint16(ms)
 }
 
-// tensorAlloc abstracts where decoded tensors land: the serving path hands
-// out arena storage recycled per request, the client and wiretap paths
-// allocate from the heap.
-type tensorAlloc interface {
-	newTensor(shape []int) *tensor.Tensor
-}
-
-type heapAlloc struct{}
-
-func (heapAlloc) newTensor(shape []int) *tensor.Tensor { return tensor.New(shape...) }
-
-// arenaAlloc adapts a *tensor.Arena to the allocator interface. It is a
-// defined type over Arena (not a wrapper struct) so that the *arenaAlloc
-// stored in the interface is a plain pointer — a struct value would be boxed
-// on every readRequest, one heap allocation per request.
-type arenaAlloc tensor.Arena
-
-func (al *arenaAlloc) newTensor(shape []int) *tensor.Tensor {
-	// Wire payloads overwrite every element; no zeroing needed.
-	return (*tensor.Arena)(al).NewTensor(shape...)
+// negotiateClient performs the hello exchange on a fresh connection and
+// returns the server's advertised continuous-batching window (0 when the
+// server does not batch across connections).
+func negotiateClient(conn io.Writer, r *bufio.Reader, f32 bool, clientID string) (time.Duration, error) {
+	if clientID != "" && !ValidClientID(clientID) {
+		return 0, fmt.Errorf("comm: client ID %q is not 1-%d printable ASCII bytes", clientID, maxWireClientID)
+	}
+	if _, err := conn.Write(appendHello(nil, f32, clientID)); err != nil {
+		return 0, fmt.Errorf("comm: sending wire hello: %w", err)
+	}
+	var ack [7]byte
+	if _, err := io.ReadFull(r, ack[:]); err != nil {
+		return 0, fmt.Errorf("comm: reading wire hello ack: %w", err)
+	}
+	if [4]byte(ack[:4]) != wireMagic {
+		return 0, fmt.Errorf("comm: server is not speaking the wire protocol (bad ack magic)")
+	}
+	if ack[4] != wireVersion {
+		return 0, fmt.Errorf("%w: server speaks version %d, client speaks version %d", errWireVersion, ack[4], wireVersion)
+	}
+	return time.Duration(binary.LittleEndian.Uint16(ack[5:])) * time.Millisecond, nil
 }
 
 // --- encoding ---
 
-// appendTensor encodes one tensor.
-func appendTensor(buf []byte, t *tensor.Tensor, f32 bool) []byte {
-	buf = append(buf, byte(len(t.Shape)))
+// appendTensor encodes one tensor of either precision. A float32 tensor on
+// the f64 wire widens exactly; a float64 tensor on the f32 wire rounds once.
+func appendTensor[T float32 | float64](buf []byte, shape []int, data []T, f32 bool) []byte {
+	buf = append(buf, byte(len(shape)))
 	if f32 {
 		buf = append(buf, wireDtypeF32)
 	} else {
 		buf = append(buf, wireDtypeF64)
 	}
-	for _, d := range t.Shape {
+	for _, d := range shape {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
 	}
 	if f32 {
-		for _, v := range t.Data {
+		for _, v := range data {
 			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
 		}
 	} else {
-		for _, v := range t.Data {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		for _, v := range data {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(v)))
 		}
 	}
 	return buf
 }
 
 // appendRequest encodes a request body (no length prefix). A nonzero trace
-// context selects the v3 traced layout (0x03); callers must only pass one on
-// connections that negotiated version ≥ 3.
+// context selects the traced layout (0x03).
 func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte, error) {
 	if len(req.Model) > maxWireModel {
 		return buf, fmt.Errorf("comm: model name of %d bytes exceeds wire limit %d", len(req.Model), maxWireModel)
@@ -252,7 +280,7 @@ func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte
 			if t == nil {
 				return buf, fmt.Errorf("comm: nil tensor in batched request")
 			}
-			buf = appendTensor(buf, t, f32)
+			buf = appendTensor(buf, t.Shape, t.Data, f32)
 		}
 		return buf, nil
 	}
@@ -261,15 +289,14 @@ func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte
 	}
 	buf = append(buf, wireKindFeatures)
 	buf = binary.LittleEndian.AppendUint16(buf, 1)
-	return appendTensor(buf, req.Features, f32), nil
+	return appendTensor(buf, req.Features.Shape, req.Features.Data, f32), nil
 }
 
-// appendResponse encodes a response body (no length prefix). withCode emits
-// the version-2 code field; a v1 connection omits it and the peer sees only
-// the error text. A nonzero traceID echoes the request's trace context in
-// the v3 traced layout (0x04); callers must only pass one for requests that
-// arrived traced on a version ≥ 3 connection.
-func appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint64) ([]byte, error) {
+// appendResponse encodes a response body (no length prefix). The header
+// comes from resp; the payload from resp's float64 tensors, or from j's
+// float32 ones when j computed in f32 (j.f32Resp). A nonzero traceID echoes
+// the request's trace context in the traced layout (0x04).
+func appendResponse(buf []byte, resp *Response, j *job, f32 bool, traceID uint64) ([]byte, error) {
 	if len(resp.Model) > maxWireModel {
 		return buf, fmt.Errorf("comm: model name of %d bytes exceeds wire limit %d", len(resp.Model), maxWireModel)
 	}
@@ -290,22 +317,25 @@ func appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(resp.Version))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(resp.Err)))
 	buf = append(buf, resp.Err...)
-	if withCode {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(resp.Code))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(resp.Code))
+	if j != nil && j.f32Resp {
+		return appendPayload(buf, j.feats32, j.outputs32, f32)
 	}
-	if resp.Outputs != nil {
-		outer := len(resp.Outputs)
-		inner := 0
-		if outer > 0 {
-			inner = len(resp.Outputs[0])
-		}
+	return appendPayload(buf, resp.Features, resp.Outputs, f32)
+}
+
+// appendPayload encodes a response payload: the batched grid when outputs is
+// non-empty, else the per-body feature list.
+func appendPayload[P *tensor.Tensor | *tensor.Tensor32](buf []byte, feats []P, outputs [][]P, f32 bool) ([]byte, error) {
+	if len(outputs) > 0 {
+		outer, inner := len(outputs), len(outputs[0])
 		if outer > math.MaxUint16 || inner > math.MaxUint16 {
 			return buf, fmt.Errorf("comm: response outputs %d×%d exceed wire limits", outer, inner)
 		}
 		buf = append(buf, wireKindBatched)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(outer))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(inner))
-		for _, row := range resp.Outputs {
+		for _, row := range outputs {
 			if len(row) != inner {
 				return buf, fmt.Errorf("comm: ragged response outputs (%d vs %d per input)", len(row), inner)
 			}
@@ -313,98 +343,33 @@ func appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint
 				if t == nil {
 					return buf, fmt.Errorf("comm: nil tensor in response outputs")
 				}
-				buf = appendTensor(buf, t, f32)
+				buf = appendAnyTensor(buf, t, f32)
 			}
 		}
 		return buf, nil
 	}
 	buf = append(buf, wireKindFeatures)
-	if len(resp.Features) > math.MaxUint16 {
-		return buf, fmt.Errorf("comm: response of %d feature maps exceeds wire limit", len(resp.Features))
+	if len(feats) > math.MaxUint16 {
+		return buf, fmt.Errorf("comm: response of %d feature maps exceeds wire limit", len(feats))
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(resp.Features)))
-	for _, t := range resp.Features {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(feats)))
+	for _, t := range feats {
 		if t == nil {
 			return buf, fmt.Errorf("comm: nil tensor in response features")
 		}
-		buf = appendTensor(buf, t, f32)
+		buf = appendAnyTensor(buf, t, f32)
 	}
 	return buf, nil
 }
 
-// ValidClientID reports whether id may be declared on the wire: 1 to 64
-// bytes of printable ASCII (no spaces or control bytes), so a hostile
-// identity cannot smuggle log-injection or NUL tricks into the ledger, the
-// admin JSON, or rotation causes.
-func ValidClientID(id string) bool {
-	if len(id) == 0 || len(id) > maxWireClientID {
-		return false
+func appendAnyTensor[P *tensor.Tensor | *tensor.Tensor32](buf []byte, t P, f32 bool) []byte {
+	switch t := any(t).(type) {
+	case *tensor.Tensor:
+		return appendTensor(buf, t.Shape, t.Data, f32)
+	case *tensor.Tensor32:
+		return appendTensor(buf, t.Shape, t.Data, f32)
 	}
-	for i := 0; i < len(id); i++ {
-		if id[i] < 0x21 || id[i] > 0x7E {
-			return false
-		}
-	}
-	return true
-}
-
-// appendClientID encodes the v4 client-ID frame body (no length prefix).
-func appendClientID(buf []byte, id string) []byte {
-	buf = append(buf, wireMsgClientID)
-	buf = append(buf, byte(len(id)))
-	return append(buf, id...)
-}
-
-// parseClientID decodes a client-ID frame body, enforcing the same identity
-// discipline ValidClientID states. Everything here came off the wire from
-// an untrusted peer; a malformed frame drops the connection.
-func parseClientID(body []byte) (string, error) {
-	r := wireReader{b: body}
-	msg, err := r.u8()
-	if err != nil {
-		return "", err
-	}
-	if msg != wireMsgClientID {
-		return "", fmt.Errorf("comm: expected client-ID frame, got message type %d", msg)
-	}
-	n, err := r.u8()
-	if err != nil {
-		return "", err
-	}
-	if n == 0 || int(n) > maxWireClientID {
-		return "", fmt.Errorf("comm: client ID of %d bytes outside [1,%d]", n, maxWireClientID)
-	}
-	id, err := r.str(int(n))
-	if err != nil {
-		return "", err
-	}
-	if !ValidClientID(id) {
-		return "", fmt.Errorf("comm: client ID carries non-printable bytes")
-	}
-	if r.remaining() != 0 {
-		return "", fmt.Errorf("comm: %d trailing bytes after client ID", r.remaining())
-	}
-	return id, nil
-}
-
-// readClientIDFrame reads the single client-ID frame an accepting v4
-// handshake promises. The frame length is bounded before any read of the
-// body — a hostile length cannot force an allocation — and the body lands in
-// a stack buffer.
-func readClientIDFrame(r io.Reader) (string, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return "", fmt.Errorf("comm: reading client-ID frame: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 3 || n > 2+maxWireClientID {
-		return "", fmt.Errorf("comm: client-ID frame of %d bytes outside [3,%d]", n, 2+maxWireClientID)
-	}
-	var body [2 + maxWireClientID]byte
-	if _, err := io.ReadFull(r, body[:n]); err != nil {
-		return "", fmt.Errorf("comm: reading client-ID frame: %w", err)
-	}
-	return parseClientID(body[:n])
+	panic("unreachable")
 }
 
 // --- decoding ---
@@ -462,20 +427,45 @@ func (r *wireReader) str(n int) (string, error) {
 	return s, nil
 }
 
-// tensor decodes one tensor, validating every dimension against the bytes
-// actually present before allocating — the rule that keeps a hostile frame
-// from turning a 20-byte message into a multi-gigabyte allocation.
-func (r *wireReader) tensor(alloc tensorAlloc, shapeBuf []int) (*tensor.Tensor, error) {
+// route decodes the model name and version every frame carries after its
+// message header.
+func (r *wireReader) route() (model string, version int, err error) {
+	mlen, err := r.u16()
+	if err != nil {
+		return "", 0, err
+	}
+	if mlen > maxWireModel {
+		return "", 0, fmt.Errorf("comm: model name of %d bytes exceeds wire limit", mlen)
+	}
+	if model, err = r.str(mlen); err != nil {
+		return "", 0, err
+	}
+	ver, err := r.u32()
+	if err != nil {
+		return "", 0, err
+	}
+	if ver > math.MaxInt32 {
+		return "", 0, fmt.Errorf("comm: version %d out of range", ver)
+	}
+	return model, int(ver), nil
+}
+
+// tensorHeader reads one tensor header and validates every dimension against
+// the bytes actually present — the rule that keeps a hostile frame from
+// turning a 20-byte message into a multi-gigabyte allocation. It returns the
+// shape (in shapeBuf) and whether the payload is float32; the payload
+// itself starts at r.off.
+func (r *wireReader) tensorHeader(shapeBuf []int) (shape []int, f32 bool, err error) {
 	rank, err := r.u8()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if rank == 0 || rank > maxWireRank {
-		return nil, fmt.Errorf("comm: tensor rank %d out of range [1,%d]", rank, maxWireRank)
+		return nil, false, fmt.Errorf("comm: tensor rank %d out of range [1,%d]", rank, maxWireRank)
 	}
 	dtype, err := r.u8()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	width := 8
 	switch dtype {
@@ -483,51 +473,83 @@ func (r *wireReader) tensor(alloc tensorAlloc, shapeBuf []int) (*tensor.Tensor, 
 	case wireDtypeF32:
 		width = 4
 	default:
-		return nil, fmt.Errorf("comm: unknown tensor dtype %d", dtype)
+		return nil, false, fmt.Errorf("comm: unknown tensor dtype %d", dtype)
 	}
-	shape := shapeBuf[:0]
+	shape = shapeBuf[:0]
 	maxElems := r.remaining() / width
 	n := 1
 	for i := 0; i < int(rank); i++ {
 		d, err := r.u32()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		// n stays ≤ maxElems (< 2^28) before each multiply and d < 2^32, so
 		// the product cannot overflow a 64-bit int before the bound check.
 		if d == 0 {
-			return nil, fmt.Errorf("comm: zero tensor dimension")
+			return nil, false, fmt.Errorf("comm: zero tensor dimension")
 		}
 		if n *= int(d); n > maxElems {
-			return nil, fmt.Errorf("comm: tensor of %d elements exceeds frame size", n)
+			return nil, false, fmt.Errorf("comm: tensor of %d elements exceeds frame size", n)
 		}
 		shape = append(shape, int(d))
 	}
 	if r.remaining() < n*width {
-		return nil, fmt.Errorf("comm: tensor payload truncated (%d elements, %d bytes left)", n, r.remaining())
+		return nil, false, fmt.Errorf("comm: tensor payload truncated (%d elements, %d bytes left)", n, r.remaining())
 	}
-	t := alloc.newTensor(shape)
+	return shape, dtype == wireDtypeF32, nil
+}
+
+// payload decodes len(dst) validated elements into dst, converting to dst's
+// precision: float32 bits into a float32 tensor move without conversion.
+func payload[T float32 | float64](r *wireReader, dst []T, f32 bool) {
 	src := r.b[r.off:]
-	if dtype == wireDtypeF64 {
-		for i := 0; i < n; i++ {
-			t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	if f32 {
+		for i := range dst {
+			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 		}
-		r.off += 8 * n
-	} else {
-		for i := 0; i < n; i++ {
-			t.Data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-		}
-		r.off += 4 * n
+		r.off += 4 * len(dst)
+		return
 	}
+	for i := range dst {
+		dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:])))
+	}
+	r.off += 8 * len(dst)
+}
+
+// tensor decodes one tensor into a (the heap when nil).
+func (r *wireReader) tensor(a *tensor.Arena, shapeBuf []int) (*tensor.Tensor, error) {
+	shape, f32, err := r.tensorHeader(shapeBuf)
+	if err != nil {
+		return nil, err
+	}
+	var t *tensor.Tensor
+	if a != nil {
+		t = a.NewTensor(shape...) // the payload overwrites every element
+	} else {
+		t = tensor.New(shape...)
+	}
+	payload(r, t.Data, f32)
 	return t, nil
 }
 
-// parseRequestInto decodes a request frame body into req. alloc places the
-// tensor data; j (optional) donates its reusable Inputs slice so the serving
-// path's steady state allocates nothing. tc (optional) receives the trace
-// context when the frame uses the v3 traced layout; a traced frame with a
-// nil tc is decoded and its trace header discarded (the wiretap path).
-func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *trace.Context) error {
+// tensor32 decodes one tensor into the f32 arena.
+func (r *wireReader) tensor32(a *tensor.Arena32, shapeBuf []int) (*tensor.Tensor32, error) {
+	shape, f32, err := r.tensorHeader(shapeBuf)
+	if err != nil {
+		return nil, err
+	}
+	t := a.NewTensor(shape...)
+	payload(r, t.Data, f32)
+	return t, nil
+}
+
+// parseRequestInto decodes a request frame body into req. With a nil j the
+// tensors land on the heap (the client and wiretap paths). With a job they
+// land in its recycled storage, so the serving path's steady state allocates
+// nothing: in j.arena as req.Features/req.Inputs, or, when f32 is set, in
+// j.arena32 as j.feat32/j.inputs32 with req's payload fields left nil. tc
+// (optional) receives the trace context of a traced frame.
+func parseRequestInto(body []byte, req *Request, j *job, f32 bool, tc *trace.Context) error {
 	r := wireReader{b: body}
 	msg, err := r.u8()
 	if err != nil {
@@ -554,24 +576,9 @@ func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *
 	default:
 		return fmt.Errorf("comm: expected request frame, got message type %d", msg)
 	}
-	mlen, err := r.u16()
-	if err != nil {
+	if req.Model, req.Version, err = r.route(); err != nil {
 		return err
 	}
-	if mlen > maxWireModel {
-		return fmt.Errorf("comm: model name of %d bytes exceeds wire limit", mlen)
-	}
-	if req.Model, err = r.str(mlen); err != nil {
-		return err
-	}
-	ver, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if ver > math.MaxInt32 {
-		return fmt.Errorf("comm: version %d out of range", ver)
-	}
-	req.Version = int(ver)
 	kind, err := r.u8()
 	if err != nil {
 		return err
@@ -580,13 +587,14 @@ func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *
 	if err != nil {
 		return err
 	}
-	// The shape scratch must not live on this stack frame: it crosses the
-	// allocator interface, so escape analysis would heap-move a local array
-	// on every request. The job donates its persistent buffer; only the
-	// job-less paths (client, wiretap) pay a per-call slice.
+	// The shape scratch must not live on this stack frame: tensor.New leaks
+	// its shape argument, so escape analysis would heap-move a local array on
+	// every request. The job donates its persistent buffer; only the job-less
+	// paths (client, wiretap) pay a per-call slice.
 	var shapeBuf []int
+	var arena *tensor.Arena
 	if j != nil {
-		shapeBuf = j.shape[:0]
+		shapeBuf, arena = j.shape[:0], &j.arena
 	} else {
 		shapeBuf = make([]int, 0, maxWireRank)
 	}
@@ -595,19 +603,36 @@ func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *
 		if count != 1 {
 			return fmt.Errorf("comm: feature request carries %d tensors, want 1", count)
 		}
-		if req.Features, err = r.tensor(alloc, shapeBuf); err != nil {
+		if f32 {
+			j.feat32, err = r.tensor32(&j.arena32, shapeBuf)
+		} else {
+			req.Features, err = r.tensor(arena, shapeBuf)
+		}
+		if err != nil {
 			return err
 		}
 	case wireKindBatched:
 		if count == 0 {
 			return fmt.Errorf("comm: batched request carries no inputs")
 		}
-		inputs := []*tensor.Tensor(nil)
+		if f32 {
+			inputs := j.inputs32[:0]
+			for i := 0; i < count; i++ {
+				t, err := r.tensor32(&j.arena32, shapeBuf)
+				if err != nil {
+					return err
+				}
+				inputs = append(inputs, t)
+			}
+			j.inputs32 = inputs
+			break
+		}
+		var inputs []*tensor.Tensor
 		if j != nil {
 			inputs = j.inputs[:0]
 		}
 		for i := 0; i < count; i++ {
-			t, err := r.tensor(alloc, shapeBuf)
+			t, err := r.tensor(arena, shapeBuf)
 			if err != nil {
 				return err
 			}
@@ -627,11 +652,9 @@ func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *
 }
 
 // parseResponseInto decodes a response frame body into resp, allocating from
-// the heap (the client hands decoded tensors to its caller). hasCode selects
-// the version-2 layout, which carries the response code after the error
-// text. echo (optional) receives the trace ID when the frame uses the v3
-// traced layout.
-func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) error {
+// the heap (the client hands decoded tensors to its caller). echo (optional)
+// receives the trace ID of a traced frame.
+func parseResponseInto(body []byte, resp *Response, echo *uint64) error {
 	r := wireReader{b: body}
 	msg, err := r.u8()
 	if err != nil {
@@ -653,24 +676,9 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 	default:
 		return fmt.Errorf("comm: expected response frame, got message type %d", msg)
 	}
-	mlen, err := r.u16()
-	if err != nil {
+	if resp.Model, resp.Version, err = r.route(); err != nil {
 		return err
 	}
-	if mlen > maxWireModel {
-		return fmt.Errorf("comm: model name of %d bytes exceeds wire limit", mlen)
-	}
-	if resp.Model, err = r.str(mlen); err != nil {
-		return err
-	}
-	ver, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if ver > math.MaxInt32 {
-		return fmt.Errorf("comm: version %d out of range", ver)
-	}
-	resp.Version = int(ver)
 	elen, err := r.u16()
 	if err != nil {
 		return err
@@ -678,10 +686,8 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 	if resp.Err, err = r.str(elen); err != nil {
 		return err
 	}
-	if hasCode {
-		if resp.Code, err = r.u16(); err != nil {
-			return err
-		}
+	if resp.Code, err = r.u16(); err != nil {
+		return err
 	}
 	kind, err := r.u8()
 	if err != nil {
@@ -697,7 +703,7 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 		if count > 0 {
 			resp.Features = make([]*tensor.Tensor, count)
 			for i := range resp.Features {
-				if resp.Features[i], err = r.tensor(heapAlloc{}, shapeBuf[:]); err != nil {
+				if resp.Features[i], err = r.tensor(nil, shapeBuf[:]); err != nil {
 					return err
 				}
 			}
@@ -720,7 +726,7 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 		for i := range resp.Outputs {
 			resp.Outputs[i] = make([]*tensor.Tensor, inner)
 			for b := range resp.Outputs[i] {
-				if resp.Outputs[i][b], err = r.tensor(heapAlloc{}, shapeBuf[:]); err != nil {
+				if resp.Outputs[i][b], err = r.tensor(nil, shapeBuf[:]); err != nil {
 					return err
 				}
 			}
@@ -772,30 +778,15 @@ func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	return buf, buf, nil
 }
 
-// --- client codec ---
-
-// clientCodec is one connection's wire protocol from the client side. The
-// trace context rides alongside the request (not inside it) so the Request
-// struct — and with it the legacy gob type descriptor — never changes;
-// readResponse returns the server's echoed trace ID (0 when untraced or on
-// codecs that predate tracing).
-type clientCodec interface {
-	writeRequest(*Request, trace.Context) error
-	readResponse(*Response) (uint64, error)
-}
-
-// binFramer is the framing state both ends of the binary codec share: the
-// write/read halves of one connection plus their reusable buffers. The
-// encode side reserves 4 bytes for the length prefix via frameStart; method
-// bodies stay direct calls (no encode closures) so the server's per-request
-// path performs no allocations.
+// binFramer is the framing state both ends of a connection share: the
+// write/read halves plus their reusable buffers. The encode side reserves 4
+// bytes for the length prefix via frameStart; method bodies stay direct
+// calls (no encode closures) so the server's per-request path performs no
+// allocations.
 type binFramer struct {
-	w   io.Writer
-	r   *bufio.Reader
-	f32 bool
-	// code marks a version-2 connection: response frames carry the code
-	// field (ErrOverloaded et al). A v1 peer negotiated it away.
-	code   bool
+	w      io.Writer
+	r      *bufio.Reader
+	f32    bool // payloads go out as float32
 	encBuf []byte
 	decBuf []byte
 }
@@ -810,18 +801,12 @@ func (c *binFramer) readBody() ([]byte, error) {
 	return body, err
 }
 
-type binClientCodec struct {
-	binFramer
-	// traceOK marks a version-3 connection: traced frames may be sent. On
-	// older connections the context is dropped here, so callers can set a
-	// trace context unconditionally.
-	traceOK bool
-}
+// clientCodec is one connection's wire protocol from the client side. The
+// trace context rides alongside the request, not inside it; readResponse
+// returns the server's echoed trace ID (0 when untraced).
+type clientCodec struct{ binFramer }
 
-func (c *binClientCodec) writeRequest(req *Request, tc trace.Context) error {
-	if !c.traceOK {
-		tc = trace.Context{}
-	}
+func (c *clientCodec) writeRequest(req *Request, tc trace.Context) error {
 	buf, err := appendRequest(c.frameStart(), req, c.f32, tc)
 	c.encBuf = buf
 	if err != nil {
@@ -830,124 +815,48 @@ func (c *binClientCodec) writeRequest(req *Request, tc trace.Context) error {
 	return writeFrame(c.w, buf)
 }
 
-func (c *binClientCodec) readResponse(resp *Response) (uint64, error) {
+func (c *clientCodec) readResponse(resp *Response) (uint64, error) {
 	body, err := c.readBody()
 	if err != nil {
 		return 0, err
 	}
 	*resp = Response{}
 	var echo uint64
-	if err := parseResponseInto(body, resp, c.code, &echo); err != nil {
+	if err := parseResponseInto(body, resp, &echo); err != nil {
 		return 0, err
 	}
 	return echo, nil
 }
 
-// negotiateClient performs the hello exchange on a fresh connection,
-// returning the negotiated wire version, whether the server accepted the
-// float32 payload flag, and the server's advertised continuous-batching
-// window (0 when the server does not batch across connections, and on v1
-// servers, whose acks carry zero in those bytes by construction). A
-// non-empty clientID is offered via the v4 hello flag and declared in a
-// client-ID frame only when the ack proves the server will read it, so the
-// same client works unchanged against pre-v4 servers (which simply bucket
-// it by address).
-func negotiateClient(conn io.Writer, r *bufio.Reader, f32 bool, clientID string) (version byte, f32OK bool, window time.Duration, err error) {
-	var flags byte
-	if f32 {
-		flags |= wireFlagF32
-	}
-	if clientID != "" {
-		if !ValidClientID(clientID) {
-			return 0, false, 0, fmt.Errorf("comm: client ID %q is not 1-%d printable ASCII bytes", clientID, maxWireClientID)
-		}
-		flags |= wireFlagClientID
-	}
-	hello := helloBytes(wireVersion, flags)
-	if _, err := conn.Write(hello[:]); err != nil {
-		return 0, false, 0, fmt.Errorf("comm: sending wire hello: %w", err)
-	}
-	var ack [8]byte
-	if _, err := io.ReadFull(r, ack[:]); err != nil {
-		return 0, false, 0, fmt.Errorf("comm: reading wire hello ack (a server predating the binary codec closes here; dial with WithWire(WireGob)): %w", err)
-	}
-	if [4]byte{ack[0], ack[1], ack[2], ack[3]} != wireMagic {
-		return 0, false, 0, fmt.Errorf("comm: server is not speaking the binary wire protocol; dial with WithWire(WireGob)")
-	}
-	// The connection speaks min(client, server): a hostile or buggy ack
-	// naming a version above what we offered is a protocol violation, and
-	// version 0 predates the codec entirely.
-	if ack[4] < 1 || ack[4] > wireVersion {
-		return 0, false, 0, fmt.Errorf("comm: server negotiated unsupported wire version %d", ack[4])
-	}
-	window = time.Duration(binary.LittleEndian.Uint16(ack[6:8])) * time.Millisecond
-	if clientID != "" && ack[4] >= 4 && ack[5]&wireFlagClientID != 0 {
-		frame := appendClientID([]byte{0, 0, 0, 0}, clientID)
-		if err := writeFrame(conn, frame); err != nil {
-			return 0, false, 0, fmt.Errorf("comm: sending client ID: %w", err)
-		}
-	}
-	return ack[4], ack[5]&wireFlagF32 != 0, window, nil
-}
-
-// decodeGobStream decodes a captured legacy gob request stream.
-func decodeGobStream(stream []byte) ([]*Request, error) {
-	dec := gob.NewDecoder(bytes.NewReader(stream))
-	var out []*Request
-	for {
-		req := &Request{}
-		if err := dec.Decode(req); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, fmt.Errorf("comm: decoding gob stream: %w", err)
-		}
-		out = append(out, req)
-	}
-}
-
 // DecodeWireStream parses a captured client→server byte stream — the
 // adversary's observational power over one connection — and returns every
-// decoded request, whichever protocol the client spoke. A stream opening
-// with the binary hello parses as binary frames; anything else decodes as a
-// gob stream. The framing is public by design (Kerckhoffs: only the
+// decoded request. The framing is public by design (Kerckhoffs: only the
 // client's selection is secret); the shard privacy tests invert exactly
 // what this function recovers from a wiretap.
 func DecodeWireStream(stream []byte) ([]*Request, error) {
-	if len(stream) >= 4 && [4]byte{stream[0], stream[1], stream[2], stream[3]} == wireMagic {
-		if len(stream) < 8 {
-			return nil, fmt.Errorf("comm: truncated wire hello")
-		}
-		rest := stream[8:]
-		var out []*Request
-		for len(rest) > 0 {
-			if len(rest) < 4 {
-				return out, fmt.Errorf("comm: truncated frame header")
-			}
-			n := binary.LittleEndian.Uint32(rest)
-			if n > maxWireFrame {
-				return out, fmt.Errorf("comm: frame of %d bytes exceeds limit", n)
-			}
-			if len(rest) < 4+int(n) {
-				return out, fmt.Errorf("comm: truncated frame body")
-			}
-			body := rest[4 : 4+int(n)]
-			rest = rest[4+int(n):]
-			// A v4 capture may open with the client-ID frame; the wiretap's
-			// request recovery skips (but still validates) it.
-			if len(body) > 0 && body[0] == wireMsgClientID {
-				if _, err := parseClientID(body); err != nil {
-					return out, err
-				}
-				continue
-			}
-			req := &Request{}
-			if err := parseRequestInto(body, req, heapAlloc{}, nil, nil); err != nil {
-				return out, err
-			}
-			out = append(out, req)
-		}
-		return out, nil
+	br := bytes.NewReader(stream)
+	if _, _, err := readHello(br); err != nil {
+		return nil, fmt.Errorf("comm: wire stream hello: %w", err)
 	}
-	return decodeGobStream(stream)
+	rest := stream[len(stream)-br.Len():]
+	var out []*Request
+	for len(rest) > 0 {
+		if len(rest) < 4 {
+			return out, fmt.Errorf("comm: truncated frame header")
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if n > maxWireFrame {
+			return out, fmt.Errorf("comm: frame of %d bytes exceeds limit", n)
+		}
+		if len(rest) < 4+int(n) {
+			return out, fmt.Errorf("comm: truncated frame body")
+		}
+		req := &Request{}
+		if err := parseRequestInto(rest[4:4+int(n)], req, nil, false, nil); err != nil {
+			return out, err
+		}
+		out = append(out, req)
+		rest = rest[4+int(n):]
+	}
+	return out, nil
 }

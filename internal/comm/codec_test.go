@@ -3,7 +3,6 @@ package comm
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"net"
@@ -64,11 +63,11 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		var heap Request
-		if err := parseRequestInto(body, &heap, heapAlloc{}, nil, nil); err != nil {
+		if err := parseRequestInto(body, &heap, nil, false, nil); err != nil {
 			t.Fatalf("request %d heap decode: %v", i, err)
 		}
 		j := newJob()
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			t.Fatalf("request %d arena decode: %v", i, err)
 		}
 		for _, got := range []*Request{&heap, &j.req} {
@@ -102,12 +101,12 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, resp := range resps {
-		body, err := appendResponse(nil, resp, false, false, 0)
+		body, err := appendResponse(nil, resp, nil, false, 0)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
 		var got Response
-		if err := parseResponseInto(body, &got, false, nil); err != nil {
+		if err := parseResponseInto(body, &got, nil); err != nil {
 			t.Fatalf("response %d decode: %v", i, err)
 		}
 		if got.Model != resp.Model || got.Version != resp.Version || got.Err != resp.Err {
@@ -144,7 +143,7 @@ func TestFloat32WireRounding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Request
-	if err := parseRequestInto(body, &got, heapAlloc{}, nil, nil); err != nil {
+	if err := parseRequestInto(body, &got, nil, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range req.Features.Data {
@@ -183,11 +182,11 @@ func TestHostileFramesRejected(t *testing.T) {
 	}
 	for name, body := range cases {
 		var req Request
-		if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err == nil {
+		if err := parseRequestInto(body, &req, nil, false, nil); err == nil {
 			t.Errorf("%s: hostile request frame accepted", name)
 		}
 		var resp Response
-		if err := parseResponseInto(body, &resp, false, nil); err == nil {
+		if err := parseResponseInto(body, &resp, nil); err == nil {
 			t.Errorf("%s: hostile response frame accepted", name)
 		}
 	}
@@ -206,11 +205,11 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	encBuf := make([]byte, 0, 4096)
 
 	// Warm-up: size the arena and the encode buffer.
-	if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+	if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	j.reset()
-	if encBuf, err = appendResponse(encBuf[:0], resp, false, false, 0); err != nil {
+	if encBuf, err = appendResponse(encBuf[:0], resp, nil, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cap(encBuf) < len(encBuf) {
@@ -218,49 +217,18 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		j.reset()
 		var e error
-		encBuf, e = appendResponse(encBuf[:0], resp, false, false, 0)
+		encBuf, e = appendResponse(encBuf[:0], resp, nil, false, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state codec cycle allocates %v times, want 0", allocs)
-	}
-}
-
-// TestBinaryAndGobClientsAgree runs the same request through both protocols
-// against one live server: the decoded feature values must agree exactly
-// (the binary f64 wire is bit-transparent, like gob).
-func TestBinaryAndGobClientsAgree(t *testing.T) {
-	const nBodies = 2
-	addr := startCodecServer(t, nBodies)
-	x := wireTensor(16, 2, 4, 8, 8)
-
-	responses := make([]*Exchanged, 0, 2)
-	for _, wire := range []WireFormat{WireBinary, WireGob} {
-		client, err := Dial(addr, WithWire(wire))
-		if err != nil {
-			t.Fatalf("%v dial: %v", wire, err)
-		}
-		ex, _, err := client.Exchange(context.Background(), x)
-		client.Close()
-		if err != nil {
-			t.Fatalf("%v exchange: %v", wire, err)
-		}
-		responses = append(responses, ex)
-	}
-	if len(responses[0].Features) != nBodies || len(responses[1].Features) != nBodies {
-		t.Fatalf("feature counts %d/%d, want %d", len(responses[0].Features), len(responses[1].Features), nBodies)
-	}
-	for i := range responses[0].Features {
-		if !responses[0].Features[i].AllClose(responses[1].Features[i], 0) {
-			t.Errorf("binary and gob clients received different features for body %d", i)
-		}
 	}
 }
 
@@ -306,48 +274,35 @@ func TestFloat32ClientEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDecodeWireStreamBothProtocols pins the wiretap parser used by the
-// shard privacy tests: a captured binary stream and a captured gob stream
-// both yield the transmitted requests.
-func TestDecodeWireStreamBothProtocols(t *testing.T) {
+// TestDecodeWireStream pins the wiretap parser used by the shard privacy
+// tests: a captured stream — hello with a declared client ID, then an
+// untraced and a traced frame — yields the transmitted requests.
+func TestDecodeWireStream(t *testing.T) {
 	req := &Request{Model: "m", Features: wireTensor(18, 1, 2, 4, 4)}
 
-	// Binary capture: hello + two frames.
 	var bin bytes.Buffer
-	hello := helloBytes(wireVersion, 0)
-	bin.Write(hello[:])
-	codec := &binClientCodec{binFramer: binFramer{w: &bin}}
+	bin.Write(appendHello(nil, false, "tapped-client"))
+	codec := &clientCodec{binFramer{w: &bin}}
 	if err := codec.writeRequest(req, trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := codec.writeRequest(req, trace.Context{}); err != nil {
+	if err := codec.writeRequest(req, trace.Context{ID: 9}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeWireStream(bin.Bytes())
 	if err != nil {
-		t.Fatalf("binary stream: %v", err)
+		t.Fatalf("stream: %v", err)
 	}
 	if len(got) != 2 || !got[0].Features.AllClose(req.Features, 0) || got[1].Model != "m" {
-		t.Errorf("binary stream decoded %d requests", len(got))
+		t.Errorf("stream decoded %d requests", len(got))
 	}
 
-	// Gob capture.
-	var g bytes.Buffer
-	enc := gob.NewEncoder(&g)
-	if err := enc.Encode(req); err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeWireStream(g.Bytes())
-	if err != nil {
-		t.Fatalf("gob stream: %v", err)
-	}
-	if len(got) != 1 || !got[0].Features.AllClose(req.Features, 0) {
-		t.Errorf("gob stream decoded %d requests", len(got))
-	}
-
-	// Truncated binary stream errors instead of panicking.
+	// Truncated streams error instead of panicking.
 	if _, err := DecodeWireStream(bin.Bytes()[:bin.Len()-3]); err == nil {
-		t.Error("truncated binary stream accepted")
+		t.Error("truncated stream accepted")
+	}
+	if _, err := DecodeWireStream(bin.Bytes()[:5]); err == nil {
+		t.Error("truncated hello accepted")
 	}
 }
 
@@ -370,7 +325,7 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<16)
 	cycle := func() {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -378,7 +333,7 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, nil, false, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -422,7 +377,7 @@ func BenchmarkServeRequestLoop(b *testing.B) {
 	// Warm-up: clone replicas, size arenas and buffers, so the timed loop
 	// is pure steady state.
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			b.Fatal(err)
 		}
 		if resp := srv.serve(j, replicas); resp.Err != "" {
@@ -433,7 +388,7 @@ func BenchmarkServeRequestLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			b.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -441,7 +396,7 @@ func BenchmarkServeRequestLoop(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, nil, false, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

@@ -93,7 +93,7 @@ func TestRemoteInferenceMatchesLocal(t *testing.T) {
 		t.Errorf("byte accounting missing: %+v", timing)
 	}
 	// The server returns N bodies' features; downstream bytes must exceed
-	// the per-body feature payload at least N-fold (gob overhead aside).
+	// the per-body feature payload at least N-fold (framing aside).
 	minDown := 4 * e.Cfg.Arch.FeatureDim() * e.Cfg.N // 4 images ≈ even more
 	if timing.BytesDown < minDown {
 		t.Errorf("down bytes %d suspiciously small (< %d)", timing.BytesDown, minDown)

@@ -2,10 +2,10 @@ package comm_test
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,10 +260,16 @@ func TestShutdownWithNonDrainingClient(t *testing.T) {
 	flooding := make(chan struct{})
 	go func() {
 		defer close(flooding)
-		enc := gob.NewEncoder(conn)
-		x := commtest.Input(tiny, 60, 8)
+		frame, err := comm.RequestFrame(&comm.Request{Features: commtest.Input(tiny, 60, 8)})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := conn.Write(comm.Hello()); err != nil {
+			return
+		}
 		for i := 0; i < 10000; i++ {
-			if err := enc.Encode(&comm.Request{Features: x}); err != nil {
+			if _, err := conn.Write(frame); err != nil {
 				return
 			}
 		}
@@ -333,14 +339,12 @@ func TestAbortedRequestBreaksClient(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				// Complete the wire negotiation (echoing the client's hello
-				// verbatim is a valid ack), then go mute: requests are read
-				// and never answered.
-				hello := make([]byte, 8)
-				if _, err := io.ReadFull(conn, hello); err != nil {
+				// Complete the wire negotiation, then go mute: requests are
+				// read and never answered.
+				if _, err := io.ReadFull(conn, make([]byte, len(comm.Hello()))); err != nil {
 					return
 				}
-				if _, err := conn.Write(hello); err != nil {
+				if _, err := conn.Write(comm.HelloAck(0)); err != nil {
 					return
 				}
 				buf := make([]byte, 1<<16)
@@ -373,7 +377,7 @@ func TestAbortedRequestBreaksClient(t *testing.T) {
 
 // TestMuteDispatcherServerBreaksClient is the continuous-batching variant
 // of the mute-server handshake test: a hostile server that completes the
-// version-2 hello — advertising an absurd 65.5-second batch window — and
+// hello — advertising an absurd 65.5-second batch window — and
 // then never dispatches anything. The window advice must not buy the server
 // extra patience: the client's deadline still fires, the connection still
 // breaks, and the advertised window is clamped to the honest ceiling rather
@@ -392,14 +396,12 @@ func TestMuteDispatcherServerBreaksClient(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				hello := make([]byte, 8)
-				if _, err := io.ReadFull(conn, hello); err != nil {
+				if _, err := io.ReadFull(conn, make([]byte, len(comm.Hello()))); err != nil {
 					return
 				}
-				// A v2 ack claiming windowMs = 0xFFFF: "just wait, the batch
-				// is coming" — then mute.
-				ack := []byte{0xE5, 'N', 'S', 'B', 2, 0, 0xFF, 0xFF}
-				if _, err := conn.Write(ack); err != nil {
+				// An ack claiming windowMs = 0xFFFF: "just wait, the batch is
+				// coming" — then mute.
+				if _, err := conn.Write(comm.HelloAck(0xFFFF)); err != nil {
 					return
 				}
 				buf := make([]byte, 1<<16)
@@ -437,54 +439,43 @@ func TestMuteDispatcherServerBreaksClient(t *testing.T) {
 	}
 }
 
-// TestMalformedTensorsDoNotKillServer sends hostile payloads straight over
-// the wire: lying shapes must produce error responses, not a server crash,
-// and a healthy client must still be served afterwards.
+// TestMalformedTensorsDoNotKillServer sends hostile payloads over the wire.
+// A tensor the frame cannot honestly describe (a zero dimension, fewer
+// values than its shape claims) fails the frame parse and drops that
+// connection; a well-formed frame with a shape the bodies reject gets an
+// error response on a connection that stays usable. Either way the server
+// lives on and a healthy client is still served afterwards.
 func TestMalformedTensorsDoNotKillServer(t *testing.T) {
 	const nBodies = 2
 	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 1)
+	ctx := context.Background()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	frameLies := []*tensor.Tensor{
+		{Shape: []int{0, 3, 8, 8}},                           // zero dimension
+		{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 5)}, // shape/data lie
 	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-
-	hostile := []*tensor.Tensor{
-		{Shape: []int{0, 3, 8, 8}},                              // zero dimension
-		{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 5)},    // shape/data lie
-		{Shape: []int{1, 7, 8, 8}, Data: make([]float64, 7*64)}, // wrong channels: panics inside the body
-	}
-	for i, f := range hostile {
-		if err := enc.Encode(&comm.Request{Features: f}); err != nil {
-			t.Fatalf("payload %d: send: %v", i, err)
+	for i, f := range frameLies {
+		client := dialWired(t, addr, nBodies)
+		if _, _, err := client.Exchange(ctx, f); err == nil {
+			t.Errorf("frame lie %d accepted", i)
 		}
-		var resp comm.Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("payload %d: server dropped the connection instead of answering: %v", i, err)
-		}
-		if resp.Err == "" {
-			t.Errorf("payload %d: hostile tensor accepted", i)
-		}
+		client.Close()
 	}
-	// Batched variant of the same lies.
-	if err := enc.Encode(&comm.Request{Inputs: []*tensor.Tensor{{Shape: []int{0, 4, 8, 8}}}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp comm.Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
+	client := dialWired(t, addr, nBodies)
+	defer client.Close()
+	if _, _, err := client.InferBatch(ctx, []*tensor.Tensor{{Shape: []int{0, 4, 8, 8}}}); err == nil {
 		t.Error("hostile batched tensor accepted")
 	}
 
-	// The server must still be alive for well-formed clients.
-	client := dialWired(t, addr, nBodies)
-	x := commtest.Input(tiny, 59, 1)
-	if _, _, err := client.Infer(context.Background(), x); err != nil {
-		t.Errorf("healthy request after hostile payloads failed: %v", err)
+	// Wrong channels: a well-formed frame that panics inside the body.
+	client = dialWired(t, addr, nBodies)
+	defer client.Close()
+	_, _, err := client.Exchange(ctx, &tensor.Tensor{Shape: []int{1, 7, 8, 8}, Data: make([]float64, 7*64)})
+	if err == nil || !strings.Contains(err.Error(), "server error") {
+		t.Fatalf("wrong-channel tensor: got %v, want a server error response", err)
+	}
+	if _, _, err := client.Infer(ctx, commtest.Input(tiny, 61, 1)); err != nil {
+		t.Fatalf("connection unusable after an error response: %v", err)
 	}
 }
 
@@ -541,7 +532,7 @@ func TestPoolRecoversFromBrokenConnections(t *testing.T) {
 }
 
 // TestPoolKeepsConnectionAfterBenignError checks that server-side
-// rejections (which leave the gob stream synchronized) do not cost the pool
+// rejections (which leave the wire stream synchronized) do not cost the pool
 // its connection.
 func TestPoolKeepsConnectionAfterBenignError(t *testing.T) {
 	const nBodies = 2
@@ -572,11 +563,10 @@ func TestPoolKeepsConnectionAfterBenignError(t *testing.T) {
 }
 
 // TestClientRejectsHostileResponses plays a malicious server: responses
-// whose tensors lie about their shape, carry nils, or mismatch the
-// selector's expected body count must produce errors, not client panics.
+// whose tensors lie about their shape or mismatch the selector's expected
+// body count must produce errors, not client panics.
 func TestClientRejectsHostileResponses(t *testing.T) {
 	responses := []comm.Response{
-		{Features: []*tensor.Tensor{nil}},
 		{Features: []*tensor.Tensor{{Shape: []int{0, 16}}}},
 		{Features: []*tensor.Tensor{{Shape: []int{1, 16}, Data: make([]float64, 3)}}},
 		// Wrong body count for the concat-all selector's tail (wired for 1).
@@ -585,47 +575,15 @@ func TestClientRejectsHostileResponses(t *testing.T) {
 			{Shape: []int{1, 16}, Data: make([]float64, 16)},
 		}},
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-				for i := 0; ; i++ {
-					var req comm.Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					if err := enc.Encode(&responses[i%len(responses)]); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-
 	x := commtest.Input(tiny, 63, 1)
 	for i := range responses {
-		// The hand-rolled hostile server speaks gob; the validation under
-		// test is codec-agnostic (the binary decoder rejects the structural
-		// lies even earlier, at frame parse time).
-		client, err := comm.Dial(ln.Addr().String(), comm.WithWire(comm.WireGob))
+		addr := comm.StubServer(t, func(int) *comm.Response { return &responses[i] })
+		client, err := comm.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		commtest.Wire(client, tiny, 1)
-		for j := 0; j <= i; j++ { // walk the rotating server to response i
-			_, _, err = client.Infer(context.Background(), x)
-		}
-		if err == nil {
+		if _, _, err := client.Infer(context.Background(), x); err == nil {
 			t.Errorf("hostile response %d accepted", i)
 		}
 		client.Close()

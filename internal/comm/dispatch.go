@@ -63,27 +63,26 @@ type coalesceKey struct {
 	model   string
 	version int
 	c, h, w int
-	// f32 marks jobs decoded into float32 storage, so a batch is homogeneous
-	// in decode precision and the stacked pass never mixes arenas.
-	f32 bool
 }
 
 // jobKey classifies a decoded request for coalescing. Only single-tensor
 // feature requests of plausible rank participate; client-batched requests
 // (Inputs) and malformed shapes dispatch as singleton batches and take the
-// ordinary serve path, which owns their validation and error text.
+// ordinary serve path, which owns their validation and error text. The
+// feature geometry comes from whichever arena the request decoded into —
+// the f32 one on a PrecisionF32 server, the f64 one otherwise — so a batch
+// never mixes arenas.
 func jobKey(j *job) (coalesceKey, bool) {
-	if f := j.feat32; f != nil {
-		if len(f.Shape) != 4 {
-			return coalesceKey{}, false
-		}
-		return coalesceKey{model: j.req.Model, version: j.req.Version, c: f.Shape[1], h: f.Shape[2], w: f.Shape[3], f32: true}, true
+	var shape []int
+	if j.feat32 != nil {
+		shape = j.feat32.Shape
+	} else if j.req.Features != nil {
+		shape = j.req.Features.Shape
 	}
-	f := j.req.Features
-	if f == nil || len(f.Shape) != 4 {
+	if len(shape) != 4 {
 		return coalesceKey{}, false
 	}
-	return coalesceKey{model: j.req.Model, version: j.req.Version, c: f.Shape[1], h: f.Shape[2], w: f.Shape[3]}, true
+	return coalesceKey{model: j.req.Model, version: j.req.Version, c: shape[1], h: shape[2], w: shape[3]}, true
 }
 
 // connQueue is one connection's FIFO of admitted jobs. head indexes the

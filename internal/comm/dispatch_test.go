@@ -208,11 +208,10 @@ func TestDispatcherFairnessAndShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := helloBytes(wireVersion, 0)
-	if _, err := conn.Write(hello[:]); err != nil {
+	if _, err := conn.Write(appendHello(nil, false, "")); err != nil {
 		t.Fatal(err)
 	}
-	ack := make([]byte, 8)
+	ack := make([]byte, len(helloAck(0)))
 	if _, err := io.ReadFull(conn, ack); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestDispatcherFairnessAndShedding(t *testing.T) {
 				return
 			}
 			var resp Response
-			if err := parseResponseInto(body, &resp, true, nil); err != nil {
+			if err := parseResponseInto(body, &resp, nil); err != nil {
 				fireDone <- fmt.Errorf("response %d: %w", i, err)
 				return
 			}
@@ -326,7 +325,7 @@ func TestDispatchCoalescedZeroAllocs(t *testing.T) {
 	encBuf := make([]byte, 0, 1<<16)
 	cycle := func() {
 		for _, j := range jobs {
-			if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+			if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 				t.Fatal(err)
 			}
 			b.jobs = append(b.jobs, j)
@@ -338,7 +337,7 @@ func TestDispatchCoalescedZeroAllocs(t *testing.T) {
 				t.Fatal(resp.Err)
 			}
 			var e error
-			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, nil, false, 0)
 			if e != nil {
 				t.Fatal(e)
 			}
@@ -437,7 +436,7 @@ func BenchmarkServeRequestLoopBatched(b *testing.B) {
 	encBuf := make([]byte, 0, 1<<20)
 	cycle := func() {
 		for _, j := range jobs {
-			if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+			if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 				b.Fatal(err)
 			}
 			batch.jobs = append(batch.jobs, j)
@@ -449,7 +448,7 @@ func BenchmarkServeRequestLoopBatched(b *testing.B) {
 				b.Fatal(resp.Err)
 			}
 			var e error
-			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, nil, false, 0)
 			if e != nil {
 				b.Fatal(e)
 			}

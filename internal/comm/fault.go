@@ -80,20 +80,3 @@ func WithDialFault(name string) DialOption {
 	site := faultpoint.New(name)
 	return func(o *dialOptions) { o.faultSite = site }
 }
-
-// faultWriter wraps the legacy gob encoder's writer so frame-write faults
-// reach the gob path too (gob owns its own framing, so the binary codec's
-// frame-level injection can't see it). The per-Write cost when disarmed is
-// the same single atomic load as every other site.
-type faultWriter struct {
-	w io.Writer // the connection
-}
-
-func (fw faultWriter) Write(p []byte) (int, error) {
-	if out, ok := fpFrameWrite.Fire(); ok {
-		if handled, err := injectFrameWrite(fw.w, p, out); handled {
-			return 0, err
-		}
-	}
-	return fw.w.Write(p)
-}

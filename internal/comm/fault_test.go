@@ -18,10 +18,10 @@ import (
 // error, not a retryable shed), the pool discards the desynced connection,
 // and the next exchange succeeds bit-exactly over a fresh dial — never by
 // reusing the poisoned stream.
-func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind, opts ...DialOption) {
+func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
 	defer faultpoint.DisableAll()
 	addr := startServer(t, codecBodies(2))
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, opts...)
+	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,6 @@ func TestPoolReconnectsAfterMidFramePartialWriteBinary(t *testing.T) {
 
 func TestPoolReconnectsAfterMidFrameConnResetBinary(t *testing.T) {
 	testMidFrameFaultReconnects(t, faultpoint.ConnReset)
-}
-
-func TestPoolReconnectsAfterMidFramePartialWriteGob(t *testing.T) {
-	testMidFrameFaultReconnects(t, faultpoint.PartialWrite, WithWire(WireGob))
-}
-
-func TestPoolReconnectsAfterMidFrameConnResetGob(t *testing.T) {
-	testMidFrameFaultReconnects(t, faultpoint.ConnReset, WithWire(WireGob))
 }
 
 // TestDispatchIntakeFaultShedsHonestly: a forced admission-control fault
@@ -135,7 +127,7 @@ func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<20)
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			b.Fatal(err)
 		}
 		if resp := srv.serve(j, replicas); resp.Err != "" {
@@ -146,7 +138,7 @@ func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, false, nil); err != nil {
 			b.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -154,7 +146,7 @@ func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, nil, false, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

@@ -3,7 +3,9 @@ package comm
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
+	"time"
 
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
@@ -26,7 +28,7 @@ func FuzzWireRequestFrame(f *testing.F) {
 	}
 	f.Add(batched)
 	f.Add([]byte{wireMsgRequest, 0, 0, 0, 0, 0, 0, wireKindFeatures, 1, 0, 1, wireDtypeF64, 1, 0, 0, 0})
-	// The v3 traced frame: same payload behind the trace header. A corrupted
+	// The traced frame: same payload behind the trace header. A corrupted
 	// variant (trace ID zeroed, which the parser must reject) seeds the
 	// invalid branch.
 	traced, err := appendRequest(nil, &Request{Model: "m", Version: 2, Features: wireTensor(41, 1, 2, 4, 4)},
@@ -43,7 +45,7 @@ func FuzzWireRequestFrame(f *testing.F) {
 	f.Add([]byte{wireMsgRequestTraced, 1, 2, 3}) // truncated trace header
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req Request
-		if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err != nil {
+		if err := parseRequestInto(body, &req, nil, false, nil); err != nil {
 			return
 		}
 		// Whatever parsed must re-encode and re-parse to the same header.
@@ -52,7 +54,7 @@ func FuzzWireRequestFrame(f *testing.F) {
 			t.Fatalf("decoded request does not re-encode: %v", err)
 		}
 		var req2 Request
-		if err := parseRequestInto(re, &req2, heapAlloc{}, nil, nil); err != nil {
+		if err := parseRequestInto(re, &req2, nil, false, nil); err != nil {
 			t.Fatalf("re-encoded request does not parse: %v", err)
 		}
 		if req2.Model != req.Model || req2.Version != req.Version {
@@ -63,51 +65,47 @@ func FuzzWireRequestFrame(f *testing.F) {
 
 // FuzzWireResponseFrame covers the client's half of the trust boundary: the
 // server is the adversary of the threat model, so its frames deserve the
-// same hostility testing as requests. Both frame layouts run — the v1 form
-// and the v2 form carrying the response code — and a frame that decodes in
-// v2 must round-trip its code (the overload verdict must survive the wire
-// exactly, or a shed would be mistaken for a terminal failure).
+// same hostility testing as requests. A frame that decodes must round-trip
+// its code (the overload verdict must survive the wire exactly, or a shed
+// would be mistaken for a terminal failure).
 func FuzzWireResponseFrame(f *testing.F) {
 	seed, err := appendResponse(nil, &Response{Model: "m", Version: 1,
-		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, false, 0)
+		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, nil, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	errFrame, err := appendResponse(nil, &Response{Err: "x"}, false, false, 0)
+	errFrame, err := appendResponse(nil, &Response{Err: "x"}, nil, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(errFrame)
-	// The admission-control shed frame, exactly as the dispatcher emits it
-	// on a v2 connection.
-	shed, err := appendResponse(nil, &Response{Err: overloadedMsg, Code: CodeOverloaded}, false, true, 0)
+	// The admission-control shed frame, exactly as the dispatcher emits it.
+	shed, err := appendResponse(nil, &Response{Err: overloadedMsg, Code: CodeOverloaded}, nil, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(shed)
-	// The v3 traced response: trace-ID echo ahead of the v2 payload, plus a
+	// The traced response: trace-ID echo ahead of the payload, plus a
 	// truncated-echo corruption.
 	echoed, err := appendResponse(nil, &Response{Model: "m", Version: 1,
-		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, true, 0xFEEDFACECAFEBEEF)
+		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, nil, false, 0xFEEDFACECAFEBEEF)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(echoed)
 	f.Add([]byte{wireMsgResponseTraced, 0xEF, 0xBE})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var v1 Response
-		_ = parseResponseInto(body, &v1, false, nil)
 		var resp Response
-		if err := parseResponseInto(body, &resp, true, nil); err != nil {
+		if err := parseResponseInto(body, &resp, nil); err != nil {
 			return
 		}
-		re, err := appendResponse(nil, &resp, false, true, 0)
+		re, err := appendResponse(nil, &resp, nil, false, 0)
 		if err != nil {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
 		var resp2 Response
-		if err := parseResponseInto(re, &resp2, true, nil); err != nil {
+		if err := parseResponseInto(re, &resp2, nil); err != nil {
 			t.Fatalf("re-encoded response does not parse: %v", err)
 		}
 		if resp2.Code != resp.Code || resp2.Err != resp.Err {
@@ -117,40 +115,27 @@ func FuzzWireResponseFrame(f *testing.F) {
 	})
 }
 
-// FuzzWireStream covers the wiretap/stream parser over both protocols,
-// hello negotiation included — seeds now cover the v2 hello with the
-// window-advice bytes set, which the request-stream parser must skip like
-// any other hello.
+// FuzzWireStream covers the wiretap/stream parser, hello included.
 func FuzzWireStream(f *testing.F) {
-	var bin bytes.Buffer
-	hello := helloBytes(wireVersion, 0)
-	bin.Write(hello[:])
-	c := &binClientCodec{binFramer: binFramer{w: &bin}}
-	if err := c.writeRequest(&Request{Features: wireTensor(44, 1, 1, 2, 2)}, trace.Context{}); err != nil {
-		f.Fatal(err)
+	stream := func(clientID string, tc trace.Context) []byte {
+		var buf bytes.Buffer
+		buf.Write(appendHello(nil, false, clientID))
+		c := &clientCodec{binFramer{w: &buf}}
+		if err := c.writeRequest(&Request{Features: wireTensor(44, 1, 1, 2, 2)}, tc); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	f.Add(bin.Bytes())
-	// A v2-negotiated stream: hello-ack bytes carrying a 25ms batch-window
-	// advice followed by a frame (what a wiretap of the server→client
-	// direction of a batching server opens with).
-	var ackStream bytes.Buffer
-	ack := helloAckBytes(wireVersion, wireFlagF32, 25)
-	ackStream.Write(ack[:])
-	ackStream.Write(bin.Bytes()[8:])
-	f.Add(ackStream.Bytes())
+	plain := stream("", trace.Context{})
+	f.Add(plain)
+	f.Add(stream("client-a", trace.Context{ID: 7, Sampled: true}))
+	// The server→client direction opens with an ack, which the request
+	// stream parser must reject rather than misread.
+	ack := helloAck(25)
+	f.Add(append(ack[:], plain[7:]...))
 	f.Add([]byte{0xE5, 'N', 'S', 'B'})
-	f.Add([]byte{0xE5, 'N', 'S', 'B', 2, 0, 0xFF, 0xFF})
+	f.Add([]byte{0xE5, 'N', 'S', 'B', wireVersion, 0, 0xFF})
 	f.Add([]byte{3, 0xFF})
-	// A v3 stream whose request frame carries the trace header.
-	var tracedStream bytes.Buffer
-	h3 := helloBytes(wireVersion, 0)
-	tracedStream.Write(h3[:])
-	c3 := &binClientCodec{binFramer: binFramer{w: &tracedStream}, traceOK: true}
-	if err := c3.writeRequest(&Request{Features: wireTensor(44, 1, 1, 2, 2)},
-		trace.Context{ID: 7, Sampled: true}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(tracedStream.Bytes())
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		_, _ = DecodeWireStream(stream)
 	})
@@ -180,8 +165,7 @@ func FuzzWireTracedFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req Request
 		var tc trace.Context
-		j := newJob()
-		if err := parseRequestInto(body, &req, (*arenaAlloc)(&j.arena), j, &tc); err != nil {
+		if err := parseRequestInto(body, &req, newJob(), false, &tc); err != nil {
 			return
 		}
 		if len(body) > 0 && body[0] == wireMsgRequestTraced && tc.ID == 0 {
@@ -193,7 +177,7 @@ func FuzzWireTracedFrames(f *testing.F) {
 		}
 		var req2 Request
 		var tc2 trace.Context
-		if err := parseRequestInto(re, &req2, heapAlloc{}, nil, &tc2); err != nil {
+		if err := parseRequestInto(re, &req2, nil, false, &tc2); err != nil {
 			t.Fatalf("re-encoded traced request does not parse: %v", err)
 		}
 		if tc2 != tc {
@@ -203,70 +187,68 @@ func FuzzWireTracedFrames(f *testing.F) {
 }
 
 // FuzzWireHelloAck runs arbitrary bytes through the client's half of the
-// hello exchange — the window-negotiation surface a hostile server controls.
-// The client must never panic, never accept a version above what it offered,
-// and any window it does accept must be what the ack's u16 encodes.
+// hello exchange — the window-advice surface a hostile server controls. The
+// client must never panic, never accept an ack naming another version, and
+// any window it does accept must be what the ack's u16 encodes.
 func FuzzWireHelloAck(f *testing.F) {
-	good := helloAckBytes(wireVersion, 0, 0)
+	good := helloAck(0)
 	f.Add(good[:])
-	v1 := helloAckBytes(1, wireFlagF32, 0)
-	f.Add(v1[:])
-	windowed := helloAckBytes(2, 0, 25)
+	windowed := helloAck(25)
 	f.Add(windowed[:])
-	tooNew := helloAckBytes(99, 0, 0)
+	oldVersion := helloAck(0)
+	oldVersion[4] = 4
+	f.Add(oldVersion[:])
+	tooNew := helloAck(0)
+	tooNew[4] = 99
 	f.Add(tooNew[:])
 	f.Add([]byte("notmagic"))
-	f.Add([]byte{0xE5, 'N', 'S', 'B', 0, 0, 0, 0})
+	f.Add([]byte{0xE5, 'N', 'S', 'B', 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ack []byte) {
 		var sink bytes.Buffer
-		ver, _, window, err := negotiateClient(&sink, bufio.NewReader(bytes.NewReader(ack)), true, "fuzz-client")
+		window, err := negotiateClient(&sink, bufio.NewReader(bytes.NewReader(ack)), true, "fuzz-client")
 		if err != nil {
 			return
 		}
-		if ver < 1 || ver > wireVersion {
-			t.Fatalf("accepted wire version %d outside [1,%d]", ver, wireVersion)
+		if ack[4] != wireVersion {
+			t.Fatalf("accepted an ack naming wire version %d", ack[4])
 		}
-		if window < 0 || window > 65535*1_000_000 {
-			t.Fatalf("accepted window %v outside the u16-milliseconds range", window)
+		if want := time.Duration(binary.LittleEndian.Uint16(ack[5:7])) * time.Millisecond; window != want {
+			t.Fatalf("accepted window %v, ack encodes %v", window, want)
 		}
-		// The client declares its identity only to an ack that both names v4
-		// and echoes the flag; everything else must keep the post-hello wire
-		// silent (a v3 server would parse the ID frame as its first request).
-		if sent := sink.Len() > 8; sent != (ver >= 4 && len(ack) >= 6 && ack[5]&wireFlagClientID != 0) {
-			t.Fatalf("client-ID frame presence wrong: wrote %d bytes after an ack with version %d flags %#x",
-				sink.Len()-8, ver, ack[5])
+		if !bytes.Equal(sink.Bytes(), appendHello(nil, true, "fuzz-client")) {
+			t.Fatalf("client wrote %x, not exactly its hello", sink.Bytes())
 		}
 	})
 }
 
-// FuzzWireHelloClientID is the server's trust boundary for the v4 identity
-// extension: arbitrary bytes through the client-ID frame parser must never
-// panic, anything accepted must satisfy the declared identity discipline
-// (1-64 printable ASCII bytes, nothing trailing), and valid IDs must
+// FuzzWireHelloClientID is the server's trust boundary for the hello, where
+// a client declares its identity: arbitrary bytes through readHello must
+// never panic, anything accepted must satisfy the identity discipline (1-64
+// printable ASCII bytes, or no ID at all), and an accepted hello must
 // round-trip through the encoder exactly.
 func FuzzWireHelloClientID(f *testing.F) {
-	f.Add(appendClientID(nil, "client-a"))
-	f.Add(appendClientID(nil, "did:key:z6MkhaXgBZDvotDkL5257faiztiGiC2QtKLGpbnnEGta2doK"))
-	f.Add([]byte{wireMsgClientID, 0})                    // zero-length ID
-	f.Add([]byte{wireMsgClientID, 5, 'a', 'b'})          // truncated body
-	f.Add([]byte{wireMsgClientID, 1, ' '})               // space: not printable-ASCII per the wire rule
-	f.Add([]byte{wireMsgClientID, 2, 'o', 'k', 'x'})     // trailing bytes
-	f.Add([]byte{wireMsgClientID, 1, 0x00})              // control byte
-	f.Add([]byte{wireMsgClientID, 3, 'a', 0xFF, 'b'})    // high bit set
-	f.Add([]byte{wireMsgRequest, 2, 'o', 'k'})           // wrong message type
-	f.Add(appendClientID(nil, string(make([]byte, 65)))) // over the length cap
-	f.Fuzz(func(t *testing.T, body []byte) {
-		id, err := parseClientID(body)
+	f.Add(appendHello(nil, false, "client-a"))
+	f.Add(appendHello(nil, true, "did:key:z6MkhaXgBZDvotDkL5257faiztiGiC2QtKLGpbnnEGta2doK"))
+	f.Add(appendHello(nil, false, ""))
+	hdr := appendHello(nil, false, "")
+	f.Add(append(hdr[:6:6], 5, 'a', 'b'))                   // truncated ID
+	f.Add(append(hdr[:6:6], 1, ' '))                        // space: not printable-ASCII per the wire rule
+	f.Add(append(hdr[:6:6], 1, 0x00))                       // control byte
+	f.Add(append(hdr[:6:6], 3, 'a', 0xFF, 'b'))             // high bit set
+	f.Add(append(hdr[:6:6], 65))                            // over the length cap
+	f.Add(append(hdr[:5:5], 0x02, 0))                       // unknown flag
+	f.Add([]byte{0xE5, 'N', 'S', 'B', 4, 0x02, 0, 0, 5, 2}) // an old v4 hello
+	f.Fuzz(func(t *testing.T, hello []byte) {
+		f32, id, err := readHello(bytes.NewReader(hello))
 		if err != nil {
 			return
 		}
-		if !ValidClientID(id) {
-			t.Fatalf("parser accepted invalid client ID %q", id)
+		if id != "" && !ValidClientID(id) {
+			t.Fatalf("readHello accepted invalid client ID %q", id)
 		}
-		re := appendClientID(nil, id)
-		id2, err := parseClientID(re)
-		if err != nil || id2 != id {
-			t.Fatalf("client ID does not round-trip: %q -> %q (%v)", id, id2, err)
+		re := appendHello(nil, f32, id)
+		if !bytes.Equal(re, hello[:len(re)]) {
+			t.Fatalf("hello does not round-trip: %x -> %x", hello, re)
 		}
 	})
 }

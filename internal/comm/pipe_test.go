@@ -2,7 +2,6 @@ package comm
 
 import (
 	"context"
-	"encoding/gob"
 	"net"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 )
 
 // TestLocalClientOverPipe exercises the client protocol over an in-memory
-// net.Pipe with a hand-rolled server loop — no TCP, no training, pure
-// protocol mechanics.
+// net.Pipe against the server's own connection handler — no TCP, no
+// training, pure protocol mechanics.
 func TestLocalClientOverPipe(t *testing.T) {
 	clientEnd, serverEnd := net.Pipe()
 	defer clientEnd.Close()
@@ -21,18 +20,20 @@ func TestLocalClientOverPipe(t *testing.T) {
 	arch := tinyArch()
 	body := arch.NewBody("b", rng.New(1))
 	srv := NewServer([]*nn.Network{body})
+	done := make(chan struct{})
 	go func() {
-		defer serverEnd.Close()
-		dec := gob.NewDecoder(serverEnd)
-		enc := gob.NewEncoder(serverEnd)
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		_ = enc.Encode(srv.process(&req))
+		defer close(done)
+		srv.handle(serverEnd)
 	}()
+	// handle needs a worker to answer its requests.
+	stop := make(chan struct{})
+	go srv.worker(stop)
+	defer close(stop)
 
-	client := NewLocalClient(clientEnd)
+	client, err := NewLocalClient(clientEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
 	client.ComputeFeatures = func(x *tensor.Tensor) *tensor.Tensor {
 		// Identity "head": the protocol doesn't care what computes features.
 		return x
@@ -52,4 +53,6 @@ func TestLocalClientOverPipe(t *testing.T) {
 	if timing.BytesUp == 0 || timing.BytesDown == 0 {
 		t.Error("pipe byte accounting missing")
 	}
+	client.Close()
+	<-done
 }

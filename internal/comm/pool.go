@@ -222,10 +222,9 @@ func (p *Pool) Exchange(ctx context.Context, features *tensor.Tensor) (*Exchange
 }
 
 // ExchangeTraced is Exchange with a trace context attached to the round
-// trip, so the server's leg of the request joins the caller's trace (wire
-// v3+; silently untraced on older servers). The context is cleared from the
-// pooled client before release — a recycled connection must never tag a
-// stranger's request with a stale trace ID.
+// trip, so the server's leg of the request joins the caller's trace. The
+// context is cleared from the pooled client before release — a recycled
+// connection must never tag a stranger's request with a stale trace ID.
 func (p *Pool) ExchangeTraced(ctx context.Context, features *tensor.Tensor, tc trace.Context) (*Exchanged, Timing, error) {
 	var ex *Exchanged
 	var t Timing

@@ -3,9 +3,7 @@ package comm
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
-	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -93,7 +91,7 @@ func TestRetryDelayFloorAtZeroWindow(t *testing.T) {
 // pooled call one backed-off retry — the zero window must not disable the
 // policy delay or the retry itself.
 func TestPoolRetryAtZeroWindow(t *testing.T) {
-	addr := shedOnceBinary(t, 0)
+	addr := shedThenServe(t, 0, 1, nil)
 	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -116,18 +114,17 @@ func TestPoolRetryAtZeroWindow(t *testing.T) {
 	}
 }
 
-// shedThenServeGob runs a hand-rolled legacy-gob server that sheds each
-// connection's first `shedFirst` requests with the overload verdict, then
-// serves a fixed feature response — the deterministic harness for the Pool
-// retry loop. It also proves the gob codec carries Response.Code natively.
-func shedThenServeGob(t *testing.T, shedFirst int, served *atomic.Uint64) string {
+// stubServer runs a hand-rolled wire server — the deterministic harness for
+// the client's retry and terminality logic. It acks every hello with the
+// given window advice and answers each connection's i-th request (from 0)
+// with respond(i); respond runs concurrently across connections.
+func stubServer(t *testing.T, windowMs uint16, respond func(i int) *Response) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	feature := wireTensor(400, 1, 8)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -136,23 +133,30 @@ func shedThenServeGob(t *testing.T, shedFirst int, served *atomic.Uint64) string
 			}
 			go func() {
 				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				shed := 0
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
+				br := bufio.NewReader(conn)
+				if _, _, err := readHello(br); err != nil {
+					return
+				}
+				ack := helloAck(windowMs)
+				if _, err := conn.Write(ack[:]); err != nil {
+					return
+				}
+				var decBuf []byte
+				for i := 0; ; i++ {
+					var body []byte
+					var err error
+					if decBuf, body, err = readFrame(br, decBuf); err != nil {
 						return
 					}
-					var resp Response
-					if shed < shedFirst {
-						shed++
-						resp = Response{Err: overloadedMsg, Code: CodeOverloaded}
-					} else {
-						served.Add(1)
-						resp = Response{Features: []*tensor.Tensor{feature}}
+					var req Request
+					if err := parseRequestInto(body, &req, nil, false, nil); err != nil {
+						return
 					}
-					if err := enc.Encode(&resp); err != nil {
+					buf, err := appendResponse([]byte{0, 0, 0, 0}, respond(i), nil, false, 0)
+					if err != nil {
+						return
+					}
+					if err := writeFrame(conn, buf); err != nil {
 						return
 					}
 				}
@@ -162,16 +166,32 @@ func shedThenServeGob(t *testing.T, shedFirst int, served *atomic.Uint64) string
 	return ln.Addr().String()
 }
 
-// TestPoolRetriesOverloadedServer drives the retry loop end to end over the
-// legacy gob codec: a server shedding each connection's first two requests
+// shedThenServe runs a stub server advertising the given window that sheds
+// each connection's first shedFirst requests with the overload verdict, then
+// serves a fixed feature response, counting the served ones (served may be
+// nil).
+func shedThenServe(t *testing.T, windowMs uint16, shedFirst int, served *atomic.Uint64) string {
+	feature := wireTensor(400, 1, 8)
+	return stubServer(t, windowMs, func(i int) *Response {
+		if i < shedFirst {
+			return &Response{Err: overloadedMsg, Code: CodeOverloaded}
+		}
+		if served != nil {
+			served.Add(1)
+		}
+		return &Response{Features: []*tensor.Tensor{feature}}
+	})
+}
+
+// TestPoolRetriesOverloadedServer drives the retry loop end to end: a server shedding each connection's first two requests
 // must cost a pooled Exchange two transparent retries, not an error — and
 // the same shed must surface as ErrOverloaded (with the connection still
 // usable) when retries are disabled.
 func TestPoolRetriesOverloadedServer(t *testing.T) {
 	var served atomic.Uint64
-	addr := shedThenServeGob(t, 2, &served)
+	addr := shedThenServe(t, 0, 2, &served)
 
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, WithWire(WireGob))
+	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +210,8 @@ func TestPoolRetriesOverloadedServer(t *testing.T) {
 	// With retries disabled the shed is the caller's problem — and it must
 	// be recognizably ErrOverloaded, benign for the connection.
 	var servedNone atomic.Uint64
-	addr2 := shedThenServeGob(t, 1, &servedNone)
-	pool2, err := NewPool(addr2, 1, func(c *Client) error { return nil }, WithWire(WireGob))
+	addr2 := shedThenServe(t, 0, 1, &servedNone)
+	pool2, err := NewPool(addr2, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +233,8 @@ func TestPoolRetriesOverloadedServer(t *testing.T) {
 // the context expires mid-backoff.
 func TestPoolRetryHonorsContext(t *testing.T) {
 	var served atomic.Uint64
-	addr := shedThenServeGob(t, 1<<30, &served)
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, WithWire(WireGob))
+	addr := shedThenServe(t, 0, 1<<30, &served)
+	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,71 +256,11 @@ func TestPoolRetryHonorsContext(t *testing.T) {
 	}
 }
 
-// shedOnceBinary runs a hand-rolled binary-wire server: it acks the hello at
-// version 2 advertising the given window, sheds the first request with the
-// overload code, and serves a real feature response afterwards.
-func shedOnceBinary(t *testing.T, windowMs uint16) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	feature := wireTensor(410, 1, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				var hello [8]byte
-				if _, err := io.ReadFull(br, hello[:]); err != nil {
-					return
-				}
-				ack := helloAckBytes(2, 0, windowMs)
-				if _, err := conn.Write(ack[:]); err != nil {
-					return
-				}
-				shed := false
-				var decBuf []byte
-				for {
-					var body []byte
-					var err error
-					decBuf, body, err = readFrame(br, decBuf)
-					if err != nil {
-						return
-					}
-					var req Request
-					if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err != nil {
-						return
-					}
-					resp := &Response{Features: []*tensor.Tensor{feature}}
-					if !shed {
-						shed = true
-						resp = &Response{Err: overloadedMsg, Code: CodeOverloaded}
-					}
-					buf, err := appendResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
-					if err != nil {
-						return
-					}
-					if err := writeFrame(conn, buf); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestBinaryClientSurfacesOverload pins the v2 binary wire's half of the
-// shed contract: the code field decodes into ErrOverloaded, the connection
+// TestBinaryClientSurfacesOverload pins the client's half of the shed
+// contract: the code field decodes into ErrOverloaded, the connection
 // survives, and the hello ack's window advice lands in ServerBatchWindow.
 func TestBinaryClientSurfacesOverload(t *testing.T) {
-	addr := shedOnceBinary(t, 25)
+	addr := shedThenServe(t, 25, 1, nil)
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +283,7 @@ func TestBinaryClientSurfacesOverload(t *testing.T) {
 // advice: a server advertising an absurd batch window must not be able to
 // stretch client backoff beyond the server-side window ceiling.
 func TestHelloWindowAdviceClamped(t *testing.T) {
-	addr := shedOnceBinary(t, 65535) // ~65.5s claimed
+	addr := shedThenServe(t, 65535, 1, nil) // ~65.5s claimed
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,8 @@ package comm
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -508,49 +507,20 @@ func (s *Server) forceCloseConns() {
 	}
 }
 
-// serverCodec is one connection's wire protocol from the server side,
-// chosen by negotiate: the binary codec for clients that open with the
-// hello magic, gob for everything else (the legacy fallback).
-type serverCodec interface {
-	// readRequest decodes the next request into j (arena-backed on the
-	// binary path), recording the job's wire trace context and decode
-	// timing where the protocol carries them.
-	readRequest(j *job) error
-	// writeResponse encodes one response (echoing j's trace context where
-	// the protocol carries one); it must not retain resp or its tensors
-	// past the call (the writer recycles them immediately after).
-	writeResponse(j *job, resp *Response) error
-}
-
-type gobServerCodec struct {
-	dec *gob.Decoder
-	enc *gob.Encoder
-}
-
-func (c *gobServerCodec) readRequest(j *job) error {
-	if err := fpFrameRead.Inject(); err != nil {
-		return err
-	}
-	j.req = Request{} // gob leaves absent fields untouched; never inherit the previous request's
-	return c.dec.Decode(&j.req)
-}
-
-func (c *gobServerCodec) writeResponse(j *job, resp *Response) error { return c.enc.Encode(resp) }
-
-type binServerCodec struct {
+// serverCodec is one connection's wire protocol from the server side.
+type serverCodec struct {
 	binFramer
 	// timing is on when the server has a tracer: readRequest records the
 	// parse timestamps the handler turns into decode spans.
 	timing bool
-	// traceOK marks a version ≥3 connection, the only kind whose responses
-	// may carry traced frames.
-	traceOK bool
 	// f32compute marks a PrecisionF32 server: requests decode into the job's
 	// f32 arena and successful responses encode from its f32 payload.
 	f32compute bool
 }
 
-func (c *binServerCodec) readRequest(j *job) error {
+// readRequest decodes the next request into j's recycled storage, recording
+// its wire trace context and, with a tracer, its decode timing.
+func (c *serverCodec) readRequest(j *job) error {
 	if err := fpFrameRead.Inject(); err != nil {
 		return err
 	}
@@ -563,39 +533,26 @@ func (c *binServerCodec) readRequest(j *job) error {
 		t0 = time.Now()
 	}
 	j.req = Request{}
-	if c.f32compute {
-		if err := parseRequestInto32(body, &j.req, j, &j.wireTrace); err != nil {
-			return err
-		}
-	} else if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, &j.wireTrace); err != nil {
+	if err := parseRequestInto(body, &j.req, j, c.f32compute, &j.wireTrace); err != nil {
 		return err
 	}
 	if c.timing {
 		j.decodeAt = t0
 		j.decodeDur = time.Since(t0)
 	}
-	if !c.traceOK {
-		// A traced frame on a connection that never negotiated v3 is
-		// tolerated but its context is dropped, so the response stays in the
-		// negotiated dialect.
-		j.wireTrace = trace.Context{}
-	}
 	j.traced = j.wireTrace.ID != 0
 	return nil
 }
 
-func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
+// writeResponse encodes one response, echoing j's trace context when the
+// request arrived traced. It must not retain resp or its tensors past the
+// call (the writer recycles them immediately after).
+func (c *serverCodec) writeResponse(j *job, resp *Response) error {
 	var echo uint64
-	if j != nil && j.traced {
+	if j.traced {
 		echo = j.wireTrace.ID
 	}
-	var buf []byte
-	var err error
-	if j != nil && j.f32Resp {
-		buf, err = appendResponse32(c.frameStart(), j, resp, c.f32, c.code, echo)
-	} else {
-		buf, err = appendResponse(c.frameStart(), resp, c.f32, c.code, echo)
-	}
+	buf, err := appendResponse(c.frameStart(), resp, j, c.f32, echo)
 	c.encBuf = buf
 	if err != nil {
 		return err
@@ -608,57 +565,30 @@ func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
 	return writeFrame(c.w, buf)
 }
 
-// negotiate sniffs the first bytes of a fresh connection: the binary hello
-// magic selects the binary codec (and acks min(client, server) version,
-// accepted flags, and the continuous-batching window advice); anything else
-// is a legacy gob client, served by the gob codec over byte-identical
-// framing. The returned clientID is the v4-declared identity ("" for every
-// pre-v4 and gob peer, which the budget guard buckets by address instead).
-func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (serverCodec, string, error) {
+// negotiate reads a fresh connection's hello and acks it with the
+// continuous-batching window advice. A hello naming another wire version
+// still gets the ack, which names this server's version so the client can
+// report both, and then the connection drops. The returned clientID is the
+// declared identity, "" for anonymous peers (which the budget guard buckets
+// by address instead).
+func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (*serverCodec, string, error) {
 	if err := fpHello.Inject(); err != nil {
 		return nil, "", err
 	}
-	peek, err := br.Peek(4)
+	f32, clientID, err := readHello(br)
+	if err != nil && !errors.Is(err, errWireVersion) {
+		return nil, "", err
+	}
+	ack := helloAck(windowAdviceMs(s.opts.window))
+	if _, werr := conn.Write(ack[:]); err == nil {
+		err = werr
+	}
 	if err != nil {
 		return nil, "", err
 	}
-	if [4]byte(peek) != wireMagic {
-		// The gob encoder writes through the frame-write fault site so torn
-		// responses are injectable on the legacy path too.
-		return &gobServerCodec{dec: gob.NewDecoder(br), enc: gob.NewEncoder(faultWriter{w: conn})}, "", nil
-	}
-	var hello [8]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return nil, "", err
-	}
-	if hello[4] < 1 {
-		return nil, "", fmt.Errorf("comm: client hello names unsupported wire version %d", hello[4])
-	}
-	version := min(hello[4], byte(wireVersion))
-	flags := hello[5] & wireFlagF32
-	// The client-ID flag is honored only from a hello that itself speaks v4:
-	// echoing it to an older (or flag-forging) client would promise to read
-	// an ID frame the peer will never send.
-	wantID := version >= 4 && hello[5]&wireFlagClientID != 0
-	if wantID {
-		flags |= wireFlagClientID
-	}
-	ack := helloAckBytes(version, flags, windowAdviceMs(s.opts.window))
-	if _, err := conn.Write(ack[:]); err != nil {
-		return nil, "", err
-	}
-	var clientID string
-	if wantID {
-		// The accepted flag obliges the client to send exactly one client-ID
-		// frame before any request; a malformed one drops the connection.
-		if clientID, err = readClientIDFrame(br); err != nil {
-			return nil, "", err
-		}
-	}
-	return &binServerCodec{
-		binFramer:  binFramer{w: conn, r: br, f32: flags&wireFlagF32 != 0, code: version >= 2},
+	return &serverCodec{
+		binFramer:  binFramer{w: conn, r: br, f32: f32},
 		timing:     s.opts.tracer != nil,
-		traceOK:    version >= 3,
 		f32compute: s.opts.precision == PrecisionF32,
 	}, clientID, nil
 }
@@ -668,7 +598,7 @@ func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (serverCodec, string
 // pool while a writer flushes responses in request order. Jobs (request
 // context, arena, reply channel) recycle through the free list, so a
 // connection's steady state decodes, computes, and encodes without heap
-// allocation on the binary wire.
+// allocation.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -677,7 +607,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
-	// Budget identity resolves once per connection: the declared v4 client
+	// Budget identity resolves once per connection: the declared client
 	// ID, or the peer's address bucket. Every request on this connection
 	// charges the same account.
 	var acct *privacy.Account
@@ -752,8 +682,7 @@ func (s *Server) handle(conn net.Conn) {
 		j.account = acct
 		if tr != nil {
 			// The leg starts when the request's bytes were in hand: decode
-			// counts against it, the blocking read before it does not. Gob
-			// requests have no parse timing and simply start now.
+			// counts against it, the blocking read before it does not.
 			tr.BeginAt(&j.tr, j.wireTrace, j.decodeAt)
 			if j.decodeDur > 0 {
 				tr.Span(&j.tr, trace.StageDecode, j.decodeAt, j.decodeDur)

@@ -9,11 +9,11 @@ package comm
 // kernels directly, fixing the double-rounding the f32 wire used to pay
 // (f32 payload widened to f64, computed, narrowed again on encode).
 //
-// Requests that arrive in float64 anyway — legacy gob connections, binary
-// connections without the f32 wire flag, the sync process entry — are
-// narrowed exactly once at ingress, computed in f32, and their results
-// widened exactly (every float32 is a float64) on the way out, so one
-// server precision serves every client dialect with one rounding step.
+// Wire requests always decode straight into the f32 arena: an f64 payload
+// narrows there, exactly once. Requests handed over as float64 tensors (the
+// synchronous process entry) narrow at serve time instead and their results
+// widen exactly (every float32 is a float64), so either ingress pays one
+// rounding step.
 
 import (
 	"fmt"
@@ -31,8 +31,8 @@ const (
 	// to every release before precision dispatch existed. The default.
 	PrecisionF64 Precision = iota
 	// PrecisionF32 compiles worker replicas to float32 and serves on the f32
-	// kernels: half the memory traffic, twice the SIMD lanes, forward drift
-	// bounded at 1e-5 relative by the nn and audit property tests.
+	// kernels: half the memory traffic, forward drift bounded at 1e-5
+	// relative by the nn and audit property tests.
 	PrecisionF32
 )
 
@@ -65,8 +65,8 @@ func WithPrecision(p Precision) ServerOption {
 }
 
 // decodedF32 reports whether the request was decoded directly into float32
-// storage (binary codec on a PrecisionF32 server). False for gob and sync
-// ingress, whose tensors arrive as float64 and narrow at serve time.
+// storage (wire ingress on a PrecisionF32 server). False for sync ingress,
+// whose tensors arrive as float64 and narrow at serve time.
 func (j *job) decodedF32() bool { return j.feat32 != nil || len(j.inputs32) > 0 }
 
 // validateTensor32 is validateTensor for wire-decoded float32 tensors.
@@ -319,12 +319,9 @@ func forwardBodiesParallel32(slot *[]*tensor.Tensor32, wr *workerReplica, x *ten
 }
 
 // coalescedPass32 is serveCoalesced's stack→forward→split core for a
-// PrecisionF32 server. The coalesce key marks batches homogeneous in decode
-// precision, so the batch is either all f32-decoded (stacked verbatim, split
-// into f32 responses) or all float64 (narrowed while stacking, results
-// widened per job).
+// PrecisionF32 server, whose wire requests all decode into f32 storage: the
+// batch stacks verbatim and splits into f32 responses.
 func (s *Server) coalescedPass32(b *dispatchBatch, wr *workerReplica, m ServedModel) {
-	f32In := b.jobs[0].decodedF32()
 	total := 0
 	rows := b.rows[:0]
 	for _, j := range b.jobs {
@@ -332,94 +329,47 @@ func (s *Server) coalescedPass32(b *dispatchBatch, wr *workerReplica, m ServedMo
 			rows = append(rows, -1)
 			continue
 		}
-		var err error
-		r := -1
-		if f32In {
-			if err = validateFeatures32(j.feat32); err == nil {
-				r = j.feat32.Shape[0]
-			}
-		} else {
-			if err = validateFeatures(j.req.Features); err == nil {
-				r = j.req.Features.Shape[0]
-			}
-		}
-		if err != nil {
+		if err := validateFeatures32(j.feat32); err != nil {
 			j.resp = Response{Err: err.Error()}
 			rows = append(rows, -1)
 			continue
 		}
-		rows = append(rows, r)
-		total += r
+		rows = append(rows, j.feat32.Shape[0])
+		total += j.feat32.Shape[0]
 	}
 	b.rows = rows
 	if total == 0 {
 		return // every member failed validation; each carries its own error
 	}
-	var stacked *tensor.Tensor32
-	if f32In {
-		hs := b.jobs[0].feat32.Shape
-		stacked = b.arena32.NewTensor(total, hs[1], hs[2], hs[3])
-		off := 0
-		for i, j := range b.jobs {
-			if b.rows[i] < 0 {
-				continue
-			}
+	hs := b.jobs[0].feat32.Shape
+	stacked := b.arena32.NewTensor(total, hs[1], hs[2], hs[3])
+	off := 0
+	for i, j := range b.jobs {
+		if b.rows[i] >= 0 {
 			off += copy(stacked.Data[off:], j.feat32.Data)
-		}
-	} else {
-		hs := b.jobs[0].req.Features.Shape
-		stacked = b.arena32.NewTensor(total, hs[1], hs[2], hs[3])
-		off := 0
-		for i, j := range b.jobs {
-			if b.rows[i] < 0 {
-				continue
-			}
-			for _, v := range j.req.Features.Data {
-				stacked.Data[off] = float32(v)
-				off++
-			}
 		}
 	}
 	outs := s.forwardBodies32(&b.outs32, wr, stacked)
 	row := 0
 	for i, j := range b.jobs {
-		if b.rows[i] < 0 {
+		r := b.rows[i]
+		if r < 0 {
 			continue
 		}
-		r := b.rows[i]
-		if f32In {
-			feats := j.feats32[:0]
-			for _, out := range outs {
-				per := out.Size() / out.Shape[0]
-				shape := append(j.shape[:0], r)
-				shape = append(shape, out.Shape[1:]...)
-				part := j.arena32.NewTensor(shape...)
-				copy(part.Data, out.Data[row*per:(row+r)*per])
-				feats = append(feats, part)
-			}
-			j.feats32 = feats
-			j.f32Resp = true
-			j.resp = Response{Model: m.Name(), Version: m.Version()}
-			if j.noiseSigma > 0 {
-				noiseResponse(j, &j.resp)
-			}
-		} else {
-			feats := j.feats[:0]
-			for _, out := range outs {
-				per := out.Size() / out.Shape[0]
-				shape := append(j.shape[:0], r)
-				shape = append(shape, out.Shape[1:]...)
-				part := j.arena.NewTensor(shape...)
-				for k, v := range out.Data[row*per : (row+r)*per] {
-					part.Data[k] = float64(v)
-				}
-				feats = append(feats, part)
-			}
-			j.feats = feats
-			j.resp = Response{Features: feats, Model: m.Name(), Version: m.Version()}
-			if j.noiseSigma > 0 {
-				noiseResponse(j, &j.resp)
-			}
+		feats := j.feats32[:0]
+		for _, out := range outs {
+			per := out.Size() / out.Shape[0]
+			shape := append(j.shape[:0], r)
+			shape = append(shape, out.Shape[1:]...)
+			part := j.arena32.NewTensor(shape...)
+			copy(part.Data, out.Data[row*per:(row+r)*per])
+			feats = append(feats, part)
+		}
+		j.feats32 = feats
+		j.f32Resp = true
+		j.resp = Response{Model: m.Name(), Version: m.Version()}
+		if j.noiseSigma > 0 {
+			noiseResponse(j, &j.resp)
 		}
 		row += r
 	}

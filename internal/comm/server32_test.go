@@ -49,7 +49,7 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 	}
 	j := newJob()
 	replicas := newReplicaCache(PrecisionF32)
-	if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+	if err := parseRequestInto(body, &j.req, j, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp := srv.serve(j, replicas)
@@ -59,12 +59,12 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 	if !j.f32Resp {
 		t.Fatal("f32-wire request on an f32 server did not take the f32 response path")
 	}
-	enc, err := appendResponse32(nil, j, resp, true, true, 0)
+	enc, err := appendResponse(nil, resp, j, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponseInto(enc, &got, true, nil); err != nil {
+	if err := parseResponseInto(enc, &got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Features) != nBodies {
@@ -104,24 +104,24 @@ func TestF32ServerF64IngressExact(t *testing.T) {
 	}
 	j := newJob()
 	replicas := newReplicaCache(PrecisionF32)
-	if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+	if err := parseRequestInto(body, &j.req, j, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp := srv.serve(j, replicas)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	enc, err := appendResponse32(nil, j, resp, false, true, 0)
+	enc, err := appendResponse(nil, resp, j, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponseInto(enc, &got, true, nil); err != nil {
+	if err := parseResponseInto(enc, &got, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkWidenedExact(t, "binary-f64", &got, want)
 
-	// Sync/gob ingress: float64 tensors narrow at serve time instead of
+	// Sync ingress: float64 tensors narrow at serve time instead of
 	// decode time — same bits, same results.
 	j2 := newJob()
 	j2.req.Features = x
@@ -169,19 +169,19 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := newJob()
-	if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+	if err := parseRequestInto(body, &j.req, j, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp := srv.serve(j, newReplicaCache(PrecisionF32))
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	enc, err := appendResponse32(nil, j, resp, true, true, 0)
+	enc, err := appendResponse(nil, resp, j, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponseInto(enc, &got, true, nil); err != nil {
+	if err := parseResponseInto(enc, &got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Outputs) != 2 {
@@ -226,7 +226,7 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 	replicas := newReplicaCache(PrecisionF32)
 	encBuf := make([]byte, 0, 1<<16)
 	cycle := func() {
-		if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, true, nil); err != nil {
 			t.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -234,7 +234,7 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse32(append(encBuf[:0], 0, 0, 0, 0), j, resp, true, true, 0)
+		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, j, true, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -274,7 +274,7 @@ func BenchmarkServeRequestLoopF32(b *testing.B) {
 	replicas := newReplicaCache(PrecisionF32)
 	encBuf := make([]byte, 0, 1<<20)
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, true, nil); err != nil {
 			b.Fatal(err)
 		}
 		if resp := srv.serve(j, replicas); resp.Err != "" {
@@ -285,7 +285,7 @@ func BenchmarkServeRequestLoopF32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+		if err := parseRequestInto(body, &j.req, j, true, nil); err != nil {
 			b.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -293,7 +293,7 @@ func BenchmarkServeRequestLoopF32(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse32(append(encBuf[:0], 0, 0, 0, 0), j, resp, true, true, 0)
+		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, j, true, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

@@ -27,15 +27,15 @@ type ServingScenario struct {
 	EffectiveParallel int
 
 	// WireFactor scales transferred bytes relative to the float32 payload
-	// the Table III link model assumes: the legacy float64 gob wire is
-	// ≈ WireFactorGob, the binary codec WireFactorBinary (f64) or
-	// WireFactorBinaryF32. 0 means 1 (float32-equivalent bytes).
+	// the Table III link model assumes: WireFactorBinary for float64
+	// payloads, WireFactorBinaryF32 for float32. 0 means 1
+	// (float32-equivalent bytes).
 	WireFactor float64
 
 	// ComputeFactor scales the server-side body-pass time relative to the
 	// float64 reference kernels the base scenario's FLOP model is calibrated
 	// against: ComputeFactorF64 for the reference path, ComputeFactorF32 for
-	// the vectorized float32 backend. Client compute is not scaled — the
+	// the float32 backend. Client compute is not scaled — the
 	// tail stays with the client at whatever precision it chooses, and the
 	// serving model only commits to the server's. 0 means 1 (float64).
 	ComputeFactor float64
@@ -43,28 +43,26 @@ type ServingScenario struct {
 
 // Wire factors for the serving model, relative to raw float32 payloads.
 const (
-	// WireFactorGob: float64 values, gob type headers and per-message
-	// self-description on top.
-	WireFactorGob = 2.2
-	// WireFactorBinary: the length-prefixed binary codec with float64
-	// payloads — twice the float32 bytes, negligible framing.
+	// WireFactorBinary: the wire codec with float64 payloads — twice the
+	// float32 bytes, negligible framing.
 	WireFactorBinary = 2.0
-	// WireFactorBinaryF32: the binary codec shipping float32 — the link
+	// WireFactorBinaryF32: the wire codec shipping float32 — the link
 	// model's native operating point.
 	WireFactorBinaryF32 = 1.0
 )
 
 // Compute factors for the serving model, relative to the float64 reference
 // kernels. Measured on the repo's own blocked kernels (BenchmarkServeRequestLoop
-// in both precisions): the float32 backend halves memory traffic and doubles
-// effective SIMD width, landing near 0.7× the f64 body-pass time on the CI
-// host — conservative against the ≥1.2× throughput gate the CI enforces.
+// in both precisions): the float32 backend halves memory traffic (gc emits
+// scalar code for both precisions; there is no SIMD gain), landing near 0.7×
+// the f64 body-pass time on the CI host — conservative against the ≥1.2×
+// throughput gate the CI enforces.
 const (
 	// ComputeFactorF64: the reference float64 path the FLOP model is
 	// calibrated against.
 	ComputeFactorF64 = 1.0
-	// ComputeFactorF32: the vectorized float32 backend (8-wide panels,
-	// half the bytes per cache line).
+	// ComputeFactorF32: the float32 backend (half the bytes per cache
+	// line).
 	ComputeFactorF32 = 0.7
 )
 
@@ -163,10 +161,26 @@ func (r Rotation) OverheadFraction() float64 {
 // waits on a clone already paid for by its worker). A zero Rotation is
 // exactly EstimateServing. This is the analytic counterpart of
 // BenchmarkHotSwap: rotation bounds what a curious server accumulates
-// against one selector, and this term prices that privacy. It is the
-// zero-audit slice of the general estimator (see EstimateServingAudited).
+// against one selector, and this term prices that privacy.
 func EstimateServingRotated(sc ServingScenario, rot Rotation) ServingEstimate {
-	return EstimateServingAudited(sc, rot, Audit{})
+	request, service := servingTimes(&sc)
+	// A pool larger than the host's usable cores serves at the cores' rate:
+	// the extra workers only queue (see ServingScenario.EffectiveParallel).
+	workers := sc.effectiveWorkers()
+	capacity := float64(workers) * (1 - rot.OverheadFraction())
+	x := float64(sc.Clients) / request
+	if service > 0 {
+		if serverBound := capacity / service; serverBound < x {
+			x = serverBound
+		}
+	}
+	return ServingEstimate{
+		Name:           servingName(sc, rot),
+		RequestSeconds: request,
+		ThroughputRPS:  x,
+		ThroughputIPS:  x * float64(sc.Batch),
+		Utilization:    x * service / float64(workers),
+	}
 }
 
 // servingName labels one serving estimate row.
@@ -206,17 +220,6 @@ func ConcurrencySweep(base Scenario, workers, maxParallel, batch int, clients []
 	for i, c := range clients {
 		out[i] = EstimateServing(ServingScenario{
 			Base: base, Workers: workers, Clients: c, Batch: batch, EffectiveParallel: maxParallel})
-	}
-	return out
-}
-
-// BatchingSweep evaluates the scenario across request batch sizes: batching
-// amortizes the per-round-trip RTT over more images, raising image
-// throughput even at fixed concurrency.
-func BatchingSweep(base Scenario, workers, clients int, batches []int) []ServingEstimate {
-	out := make([]ServingEstimate, len(batches))
-	for i, b := range batches {
-		out[i] = EstimateServing(ServingScenario{Base: base, Workers: workers, Clients: clients, Batch: b})
 	}
 	return out
 }

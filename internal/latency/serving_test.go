@@ -73,22 +73,27 @@ func TestEffectiveParallelismClampsPredictions(t *testing.T) {
 
 func TestWireFactorScalesCommunication(t *testing.T) {
 	slim := EstimateServing(ServingScenario{Base: servingBase(), Workers: 4, Clients: 1, Batch: 1, WireFactor: WireFactorBinaryF32})
-	fat := EstimateServing(ServingScenario{Base: servingBase(), Workers: 4, Clients: 1, Batch: 1, WireFactor: WireFactorGob})
+	fat := EstimateServing(ServingScenario{Base: servingBase(), Workers: 4, Clients: 1, Batch: 1, WireFactor: WireFactorBinary})
 	if fat.RequestSeconds <= slim.RequestSeconds {
-		t.Errorf("gob wire round trip %.4fs not slower than f32 wire %.4fs", fat.RequestSeconds, slim.RequestSeconds)
+		t.Errorf("f64 wire round trip %.4fs not slower than f32 wire %.4fs", fat.RequestSeconds, slim.RequestSeconds)
 	}
 	// The delta is exactly the extra communication time.
 	base := servingBase()
 	base.Batch = 1
 	comm := Run(base).Communication
-	want := (WireFactorGob - WireFactorBinaryF32) * comm
+	want := (WireFactorBinary - WireFactorBinaryF32) * comm
 	if got := fat.RequestSeconds - slim.RequestSeconds; math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("wire factor delta %.6fs, want %.6fs", got, want)
 	}
 }
 
+// TestBatchingRaisesImageThroughput: batching amortizes the per-round-trip
+// RTT over more images, raising image throughput even at fixed concurrency.
 func TestBatchingRaisesImageThroughput(t *testing.T) {
-	sweep := BatchingSweep(servingBase(), 4, 8, []int{1, 4, 16, 64})
+	var sweep []ServingEstimate
+	for _, b := range []int{1, 4, 16, 64} {
+		sweep = append(sweep, EstimateServing(ServingScenario{Base: servingBase(), Workers: 4, Clients: 8, Batch: b}))
+	}
 	for i := 1; i < len(sweep); i++ {
 		if sweep[i].ThroughputIPS < sweep[i-1].ThroughputIPS-1e-12 {
 			t.Errorf("image throughput decreased from %v to %v", sweep[i-1], sweep[i])

@@ -129,8 +129,8 @@ func NewGuard(l *Ledger, cfg PolicyConfig) (*Guard, error) {
 func (g *Guard) Ledger() *Ledger { return g.ledger }
 
 // AccountFor resolves the account one connection charges against: the
-// wire-negotiated client ID, or the handler's address bucket for legacy
-// peers.
+// client ID declared in the wire hello, or the handler's address bucket for
+// anonymous peers.
 func (g *Guard) AccountFor(id string) *Account { return g.ledger.AccountFor(id) }
 
 // Charge records rows served rows against the account and returns the

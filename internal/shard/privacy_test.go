@@ -24,12 +24,12 @@ import (
 // an adversary tapping the bytes of one shard (holding only that shard's
 // bodies) reconstructs the client's private images no better than the
 // full-knowledge monolithic adversary, and both stay below the undefended
-// baseline. The victim features are captured OFF THE WIRE — the gob frames
-// an adversarial host actually records — not taken from an in-process hook.
+// baseline. The victim features are captured OFF THE WIRE — the frames an
+// adversarial host actually records — not taken from an in-process hook.
 
 // wiretap is a TCP forwarding proxy that records the client→server byte
-// stream of every connection separately (each connection is its own gob
-// stream; concatenating them would corrupt the second decode).
+// stream of every connection separately (each connection opens with its own
+// hello; concatenating them would corrupt the second decode).
 type wiretap struct {
 	addr  string
 	mu    sync.Mutex

@@ -4,10 +4,10 @@ import "fmt"
 
 // Float32 twins of the allocation-free serving kernels in kernels.go. The
 // structure mirrors the f64 kernels — same cache blocking, same zero-skip,
-// same caller-owned-output contract, strictly serial — but the inner panels
-// are unrolled 8 wide in the gonum generic-fallback style so gc's
-// auto-vectorizer emits SIMD over float32 lanes (twice the lane width of the
-// f64 path, and half the memory traffic). Accumulation stays in float32:
+// same caller-owned-output contract, strictly serial — with the inner panels
+// unrolled in the gonum generic-fallback style. gc has no auto-vectorizer, so
+// the unrolling buys fewer loop branches and bounds checks, not SIMD; the
+// f32 win is half the memory traffic. Accumulation stays in float32:
 // the drift this costs against the f64 oracle is bounded by the nn/audit
 // property tests at 1e-5 relative for the seed network's depths.
 
@@ -18,7 +18,7 @@ const matmulBlockJ32 = 2 * matmulBlockJ
 
 // axpy32 computes y[i] += a*x[i] over equal-length slices, unrolled 8 wide.
 // The re-sliced 8-element windows give the compiler constant bounds, which
-// is what lets it vectorize the body.
+// lets it drop the per-element bounds checks.
 func axpy32(a float32, x, y []float32) {
 	i := 0
 	for ; i+8 <= len(x) && i+8 <= len(y); i += 8 {
@@ -39,8 +39,8 @@ func axpy32(a float32, x, y []float32) {
 }
 
 // dot32 computes the inner product of equal-length slices with eight
-// independent accumulators — wide enough for the vectorizer, and with the
-// side effect of a shorter error chain than a single running sum.
+// independent accumulators, which breaks the add dependency chain and
+// shortens the rounding-error chain of a single running sum.
 func dot32(x, y []float32) float32 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	i := 0
@@ -73,9 +73,10 @@ func dot32(x, y []float32) float32 {
 // blocks), so a call per (i, p) pair costs more than the arithmetic it
 // performs; folding four multiplies into one inline j-loop quarters the
 // passes over orow and drops the call overhead entirely. Summation order per
-// output element is unchanged (Go's + is left-associative, so
-// o + a0*b0[j] + a1*b1[j] + ... accumulates in ascending-p order, exactly
-// like the sequential loop it replaces).
+// output element is unchanged: Go's + is left-associative, so
+// o = o + a0*b0[j] + a1*b1[j] + ... accumulates in ascending-p order, bit
+// for bit like the sequential loop it replaces. (o += a0*b0[j] + ... would
+// not: it adds the four products to each other first.)
 func matmulRows32(out, a, b []float32, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {
 		row := out[i*n : (i+1)*n]
@@ -98,7 +99,7 @@ func matmulRows32(out, a, b []float32, i0, i1, k, n int) {
 					b2 := b[(p+2)*n+jb : (p+2)*n+jend][:len(orow)]
 					b3 := b[(p+3)*n+jb : (p+3)*n+jend][:len(orow)]
 					for j := range orow {
-						orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+						orow[j] = orow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 					}
 				}
 				for ; p < kend; p++ {

@@ -37,6 +37,31 @@ func TestMatMulInto32MatchesF64(t *testing.T) {
 	}
 }
 
+// TestMatMulInto32SequentialOrder pins the f32 matmul bit for bit against a
+// plain ascending-p loop on off-size shapes (k-unroll remainders, k spanning
+// several cache blocks, single-column panels): the 4-way unroll must not
+// reassociate any element's sum.
+func TestMatMulInto32SequentialOrder(t *testing.T) {
+	for _, s := range [][3]int{{7, 71, 65}, {5, 333, 17}, {3, 13, 1}, {2, 6, 4}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := New32(m, k), New32(k, n)
+		fill32(a, int64(m))
+		fill32(b, int64(k))
+		got := MatMulInto32(New32(m, n), a, b)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var want float32
+				for p := 0; p < k; p++ {
+					want += a.Data[i*k+p] * b.Data[p*n+j]
+				}
+				if g := got.Data[i*n+j]; math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("%dx%dx%d element [%d,%d] = %v, sequential sum %v", m, k, n, i, j, g, want)
+				}
+			}
+		}
+	}
+}
+
 // benchmark shapes drawn from the serving bodies' im2col matmuls:
 // weight [OC, C*KH*KW] × cols [C*KH*KW, OH*OW].
 const bm, bk, bn = 8, 36, 16

@@ -23,7 +23,7 @@
 //     requests whose spans were not retained.
 //
 // Stitching: a trace Context (u64 ID + the retention decision) propagates on
-// the wire (see internal/comm's version-3 traced frames), so the client leg,
+// the wire (see internal/comm's traced frames), so the client leg,
 // the dispatcher leg, and every shard leg of one logical request share one
 // trace ID. Each leg finishes independently and lands as its own Record; a
 // consumer (the admin plane's /traces/{id}) stitches legs by ID. The Sampled
@@ -104,8 +104,8 @@ func (s Stage) String() string {
 const MaxSpans = 24
 
 // Span is one recorded stage interval. Start is the offset from the leg's
-// begin time (negative when the stage began before Begin, e.g. decode on the
-// gob path); Dur is its length. Both are nanoseconds. Arg carries
+// begin time (negative when the stage began before Begin); Dur is its
+// length. Both are nanoseconds. Arg carries
 // stage-specific detail (shard index, client phase).
 type Span struct {
 	Stage Stage
