@@ -136,16 +136,49 @@ func BenchmarkHeadForward(b *testing.B) {
 	}
 }
 
-// BenchmarkBodyForward measures one server-body pass.
-func BenchmarkBodyForward(b *testing.B) {
+// benchBody builds one benchArch server body with batch-norm running
+// statistics populated, plus a one-image input: the unit of work a server
+// repeats N times per request.
+func benchBody() (*nn.Network, *tensor.Tensor) {
 	arch := benchArch()
 	body := arch.NewBody("b", rng.New(4))
-	x := tensor.New(16, arch.HeadC, 16, 16)
-	rng.New(5).FillNormal(x.Data, 0, 1)
-	body.Forward(x, true) // populate batch-norm running stats
+	warm := tensor.New(16, arch.HeadC, arch.H, arch.W)
+	rng.New(5).FillNormal(warm.Data, 0, 1)
+	body.Forward(warm, true) // populate batch-norm running stats
+	x := tensor.New(1, arch.HeadC, arch.H, arch.W)
+	rng.New(6).FillNormal(x.Data, 0, 1)
+	return body, x
+}
+
+// BenchmarkBodyForwardInfer measures one f64 server-body pass on the
+// inference path the server runs (Network.ForwardInfer over a warmed
+// scratch).
+func BenchmarkBodyForwardInfer(b *testing.B) {
+	body, x := benchBody()
+	s := body.InferScratch(x.Shape...)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body.Forward(x, false)
+		body.ForwardInfer(x, s)
+		s.Reset()
+	}
+}
+
+// BenchmarkBodyForwardInfer32 is BenchmarkBodyForwardInfer on the compiled
+// float32 body (-precision f32).
+func BenchmarkBodyForwardInfer32(b *testing.B) {
+	body, x := benchBody()
+	n32, err := nn.CompileF32(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x32 := tensor.Narrow32(x)
+	s := n32.InferScratch(x.Shape...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n32.ForwardInfer(x32, s)
+		s.Reset()
 	}
 }
 

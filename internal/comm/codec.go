@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"ensembler/internal/tensor"
@@ -757,26 +758,42 @@ func writeFrame(w io.Writer, buf []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame into buf (growing it as needed)
-// and returns the body.
+// readFrame reads one length-prefixed frame into buf and returns the
+// (possibly grown) buffer and the body. A frame that fits buf's capacity
+// arrives in one read, in place. A longer one grows the buffer only as its
+// bytes arrive — by frameGrowChunk first, then doubling — so a hostile
+// length prefix followed by a short stream costs memory in proportion to
+// the bytes actually received, not to the claim.
 func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return buf, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > maxWireFrame {
 		return buf, nil, fmt.Errorf("comm: frame of %d bytes exceeds limit %d", n, maxWireFrame)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, nil, err
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), frameGrowChunk)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, nil, err
+		}
 	}
 	return buf, buf, nil
 }
+
+// frameGrowChunk is the first step by which readFrame grows its buffer past
+// a frame's capacity: large enough that typical frames arrive in one read,
+// small enough that a lying length prefix buys the sender nothing.
+const frameGrowChunk = 64 << 10
 
 // binFramer is the framing state both ends of a connection share: the
 // write/read halves plus their reusable buffers. The encode side reserves 4

@@ -3,9 +3,13 @@ package comm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 
 	"ensembler/internal/nn"
@@ -189,6 +193,58 @@ func TestHostileFramesRejected(t *testing.T) {
 		if err := parseResponseInto(body, &resp, nil); err == nil {
 			t.Errorf("%s: hostile response frame accepted", name)
 		}
+	}
+}
+
+// TestReadFrameHostileLengthBoundedAlloc pins the framing layer's memory
+// trust boundary: a peer that claims the largest legal frame (256 MiB),
+// sends 1 KiB and hangs up must cost the reader memory in proportion to the
+// bytes it sent, not to the claim.
+func TestReadFrameHostileLengthBoundedAlloc(t *testing.T) {
+	client, server := net.Pipe()
+	go func() {
+		msg := make([]byte, 4+1024)
+		binary.LittleEndian.PutUint32(msg, maxWireFrame)
+		client.Write(msg)
+		client.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, body, err := readFrame(server, nil)
+	runtime.ReadMemStats(&after)
+	server.Close()
+	if !errors.Is(err, io.ErrUnexpectedEOF) || body != nil {
+		t.Fatalf("truncated frame read returned body of %d bytes, err %v; want io.ErrUnexpectedEOF", len(body), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a 256 MiB claim over 1 KiB of body allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// TestReadFrameGrowsAcrossChunks checks the grow-as-it-arrives path end to
+// end: a frame several growth chunks long, read into a small buffer,
+// arrives intact, and a following frame that fits reuses the grown buffer.
+func TestReadFrameGrowsAcrossChunks(t *testing.T) {
+	big := make([]byte, 3*frameGrowChunk+17)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var stream bytes.Buffer
+	for _, body := range [][]byte{big, big[:100]} {
+		stream.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(body))))
+		stream.Write(body)
+	}
+	buf, body, err := readFrame(&stream, make([]byte, 0, 16))
+	if err != nil || !bytes.Equal(body, big) {
+		t.Fatalf("large frame: err %v, body intact %v", err, bytes.Equal(body, big))
+	}
+	grown := cap(buf)
+	buf, body, err = readFrame(&stream, buf)
+	if err != nil || !bytes.Equal(body, big[:100]) || cap(buf) != grown {
+		t.Fatalf("follow-up frame: err %v, body intact %v, cap %d (grown %d)", err, bytes.Equal(body, big[:100]), cap(buf), grown)
+	}
+	if _, _, err := readFrame(&stream, buf); err != io.EOF {
+		t.Fatalf("read past the last frame: err %v, want io.EOF", err)
 	}
 }
 

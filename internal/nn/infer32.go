@@ -199,8 +199,12 @@ func (c *conv2D32) forwardInfer(x *tensor.Tensor32, s *Scratch32) *tensor.Tensor
 	oh := tensor.ConvOutSize(h, c.kh, c.stride, c.pad)
 	ow := tensor.ConvOutSize(w, c.kw, c.stride, c.pad)
 	y := s.arena.NewTensor(n, c.outC, oh, ow)
-	cols := s.arena.NewTensor(c.inC*c.kh*c.kw, oh*ow)
-	return tensor.ConvForwardInto32(y, x, c.w, c.b, cols, c.kh, c.kw, c.stride, c.pad)
+	cols := s.arena.NewTensor(oh*ow, c.inC*c.kh*c.kw)
+	var padded *tensor.Tensor32
+	if c.pad > 0 {
+		padded = s.arena.NewTensor(c.inC, h+2*c.pad, w+2*c.pad)
+	}
+	return tensor.ConvForwardInto32(y, x, c.w, c.b, cols, padded, c.kh, c.kw, c.stride, c.pad)
 }
 
 type linear32 struct {
